@@ -14,6 +14,7 @@ import numpy as np
 from speclust import (
     Dataset,
     build_full_graph,
+    eig_symmetric,
     laplacian_pca,
     pca_equivalence_report,
     pca_topk,
@@ -34,9 +35,9 @@ print(f"shifted-dot degrees: all equal to 2n = {2 * n} "
 
 # eigenvectors pass through the shift: G u = (2n - beta) u for each
 # non-constant Laplacian eigenpair (beta, u)
-lap = laplacian_pca(data)
+es = eig_symmetric(laplacian_pca(data).matrix)
 gram = data.points @ data.points.T
-residuals = verify_shift_relation(lap, gram)
+residuals = verify_shift_relation(es, gram)
 print(f"shift-relation residuals: max {residuals.max():.2e}")
 
 # route A: smallest non-constant Laplacian eigenvectors
@@ -48,11 +49,8 @@ print(f"max angle {report.max_angle:.2e} (claim: <= 1e-6), "
       f"eigengap at k {report.eigengap_at_k:.4f}, "
       f"degenerate={report.degenerate_spectrum}")
 
-# the same comparison done by hand
+# the same comparison done by hand, on the eigensystem solved above
 model = pca_topk(data, 2)
-from speclust import eig_symmetric  # noqa: E402  (narrative order)
-
-es = eig_symmetric(lap.matrix)
 angles = subspace_principal_angles(es.eigenvectors[:, 1:3], model.components)
 print(f"hand-rolled comparison agrees: max angle {angles.max():.2e}")
 

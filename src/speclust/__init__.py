@@ -30,8 +30,6 @@ from .graph import (
     build_full_graph,
     build_knn_graph,
     connected_components,
-    rbf_weight,
-    write_edge_list,
 )
 from .laplacian import (
     LaplacianMatrix,
@@ -39,7 +37,6 @@ from .laplacian import (
     laplacian_rw,
     laplacian_sym,
     laplacian_unnormalized,
-    write_matrix,
     zero_eigenvalue_multiplicity,
 )
 from .pca import (
@@ -92,7 +89,6 @@ __all__ = [
     "pairwise_dissimilarity",
     "pca_equivalence_report",
     "pca_topk",
-    "rbf_weight",
     "run_cluster",
     "run_eigen_report",
     "run_pca_equiv",
@@ -101,10 +97,8 @@ __all__ = [
     "subspace_principal_angles",
     "verify_shift_relation",
     "write_csv",
-    "write_edge_list",
     "write_embedding",
     "write_equivalence_report",
     "write_labels",
-    "write_matrix",
     "zero_eigenvalue_multiplicity",
 ]

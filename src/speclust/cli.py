@@ -8,30 +8,34 @@ Three subcommands:
     speclust eigen     --input X.csv --graph epsilon --eps 0.5 --kernel unit --out DIR
 
 Flags may also come from a key=value config file (--config); explicit flags
-win.  Exit codes: 0 success, 1 validation failure, 2 numerical failure,
-3 equivalence-check failure.  All artifact files are byte-identical across
-runs for the same config and seed; wall-clock timings go to stdout only, so
-they never perturb the artifacts.
+win.  Exit codes: 0 success, 1 validation failure (a bad command line
+included), 2 numerical failure, 3 equivalence-check failure.  All artifact
+files are byte-identical across runs for the same config and seed;
+wall-clock timings go to stdout only, so they never perturb the artifacts.
 
 The cluster pipeline picks its path automatically and names the choice in
 the report: when the spectrum shows c > 1 zero eigenvalues and the requested
 embedding is classical with k = c, the embedding rows are component
 indicators and k-means just reads them off (the indicator path); otherwise
 the connected-graph path embeds into the requested eigenvector columns.
+`cluster` and `eigen` share one spectrum stage: the Laplacian is solved once
+and its zero-eigenvalue multiplicity is counted once, at --zero-tol.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .cluster import kmeans, write_labels
 from .data import load_csv
-from .eigen import ConvergenceError, eig_rw, eig_symmetric
+from .eigen import ConvergenceError, EigenSystem, eig_rw, eig_symmetric
 from .embedding import (
     Embedding,
     covariance_objective,
@@ -40,8 +44,15 @@ from .embedding import (
     embed_normalized,
     write_embedding,
 )
-from .graph import build_epsilon_graph, build_full_graph, build_knn_graph, connected_components
+from .graph import (
+    WeightedGraph,
+    build_epsilon_graph,
+    build_full_graph,
+    build_knn_graph,
+    connected_components,
+)
 from .laplacian import (
+    LaplacianMatrix,
     laplacian_rw,
     laplacian_sym,
     laplacian_unnormalized,
@@ -79,6 +90,10 @@ class PipelineConfig:
     zero_tol: float = 1e-8
 
     def validate(self) -> None:
+        for name in ("delta", "eps", "zero_tol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name.replace('_', '-')} must be finite, got {value}")
         if self.graph not in GRAPHS:
             raise ValueError(f"graph must be one of {GRAPHS}, got {self.graph!r}")
         if self.kernel not in KERNELS:
@@ -105,49 +120,56 @@ class PipelineConfig:
             raise ValueError(f"zero-tol must be positive, got {self.zero_tol}")
 
 
-def _build_graph(cfg: PipelineConfig, dataset):
+class _Spectrum(NamedTuple):
+    """What the front of the pipeline computes, once per run."""
+
+    n: int
+    graph: WeightedGraph
+    component_count: int
+    laplacian: LaplacianMatrix
+    eigensystem: EigenSystem
+    multiplicity: int
+
+
+def _spectrum(cfg: PipelineConfig, timer: _Timer) -> _Spectrum:
+    """Load, build the graph and Laplacian, solve once, count zeros at cfg.zero_tol."""
+    dataset = load_csv(cfg.input_path, has_header=cfg.has_header, delimiter=cfg.delimiter)
+    timer.mark("load")
+
     if cfg.graph == "full":
-        return build_full_graph(dataset, kernel=cfg.kernel, delta=cfg.delta)
-    if cfg.graph == "knn":
-        return build_knn_graph(dataset, cfg.knn, cfg.delta)
-    return build_epsilon_graph(dataset, cfg.eps, kernel=cfg.kernel, delta=cfg.delta)
+        g = build_full_graph(dataset, kernel=cfg.kernel, delta=cfg.delta)
+    elif cfg.graph == "knn":
+        g = build_knn_graph(dataset, cfg.knn, cfg.delta)
+    else:
+        g = build_epsilon_graph(dataset, cfg.eps, kernel=cfg.kernel, delta=cfg.delta)
+    component_count = connected_components(g).component_count
+    timer.mark("graph")
 
-
-def _build_laplacian(cfg: PipelineConfig, g):
     if cfg.laplacian == "unnormalized":
-        return laplacian_unnormalized(g)
-    if cfg.laplacian == "sym":
-        return laplacian_sym(g)
-    return laplacian_rw(g)
+        lap = laplacian_unnormalized(g)
+    elif cfg.laplacian == "sym":
+        lap = laplacian_sym(g)
+    else:
+        lap = laplacian_rw(g)
+    timer.mark("laplacian")
+
+    es = eig_rw(lap, g.degrees) if cfg.laplacian == "rw" else eig_symmetric(lap.matrix)
+    multiplicity = zero_eigenvalue_multiplicity(es.eigenvalues, cfg.zero_tol)
+    timer.mark("eigensystem")
+    return _Spectrum(dataset.n, g, component_count, lap, es, multiplicity)
 
 
-def _eigensystem(cfg: PipelineConfig, lap, g):
-    if cfg.laplacian == "rw":
-        return eig_rw(lap, g.degrees)
-    return eig_symmetric(lap.matrix)
-
-
-def _connected_embedding(cfg: PipelineConfig, es, g) -> Embedding:
+def _embedding(cfg: PipelineConfig, spec: _Spectrum) -> Embedding:
+    es = spec.eigensystem
     if cfg.embedding == "classical":
         return embed_classical(es, cfg.k)
-    if cfg.laplacian == "unnormalized":
-        return embed_nonconstant(es, cfg.k)
+    # the nonconstant embeddings check connectivity at the run's tolerance,
+    # so they count the same multiplicity as the spectrum stage
     if cfg.laplacian == "sym":
-        return embed_normalized(es, g.degrees, cfg.k)
-    # rw: columns 1..k of the rw eigensystem; same connectivity requirement
-    # as the other nonconstant embeddings
-    mult = zero_eigenvalue_multiplicity(es.eigenvalues)
-    if mult != 1:
-        raise ValueError(
-            f"zero eigenvalue multiplicity is {mult}, not 1; the graph is not "
-            "connected. Use --embedding classical with --k equal to the "
-            "component count to take the indicator path."
-        )
-    if cfg.k > len(es.eigenvalues) - 1:
-        raise ValueError(f"k must be at most n-1 = {len(es.eigenvalues) - 1}, got {cfg.k}")
-    return Embedding(
-        es.eigenvectors[:, 1 : cfg.k + 1].copy(), "rw", es.eigenvalues[1 : cfg.k + 1].copy()
-    )
+        return embed_normalized(es, spec.graph.degrees, cfg.k, tolerance=cfg.zero_tol)
+    # the rw eigensystem's first eigenvector is constant as well
+    variant = "rw" if cfg.laplacian == "rw" else "nonconstant"
+    return embed_nonconstant(es, cfg.k, tolerance=cfg.zero_tol, variant=variant)
 
 
 def _write_eigenvalues(eigenvalues, path: Path) -> None:
@@ -196,28 +218,14 @@ def run_cluster(cfg: PipelineConfig) -> int:
     """Load, build, embed, cluster; write artifacts only after all stages pass."""
     cfg.validate()
     timer = _Timer()
+    spec = _spectrum(cfg, timer)
+    g, lap, es, multiplicity = spec.graph, spec.laplacian, spec.eigensystem, spec.multiplicity
 
-    dataset = load_csv(cfg.input_path, has_header=cfg.has_header, delimiter=cfg.delimiter)
-    timer.mark("load")
-
-    g = _build_graph(cfg, dataset)
-    components = connected_components(g)
-    timer.mark("graph")
-
-    lap = _build_laplacian(cfg, g)
-    timer.mark("laplacian")
-
-    es = _eigensystem(cfg, lap, g)
-    multiplicity = zero_eigenvalue_multiplicity(es.eigenvalues, cfg.zero_tol)
-    timer.mark("eigensystem")
-
+    # with a classical embedding at k = c the columns are component indicators
     indicator_path = (
         multiplicity > 1 and cfg.embedding == "classical" and cfg.k == multiplicity
     )
-    if indicator_path:
-        emb = embed_classical(es, multiplicity)
-    else:
-        emb = _connected_embedding(cfg, es, g)
+    emb = _embedding(cfg, spec)
     timer.mark("embedding")
 
     result = None
@@ -235,9 +243,9 @@ def run_cluster(cfg: PipelineConfig) -> int:
 
     report = {
         "branch": "indicator" if indicator_path else "connected",
-        "component_count": int(components.component_count),
+        "component_count": int(spec.component_count),
         "zero_multiplicity": int(multiplicity),
-        "n": int(dataset.n),
+        "n": int(spec.n),
         "k": int(cfg.k),
         "seed": int(cfg.seed),
         "graph": cfg.graph,
@@ -265,7 +273,7 @@ def run_cluster(cfg: PipelineConfig) -> int:
     _write_report(report, out)
     timer.mark("write")
     timer.dump()
-    print(f"branch {report['branch']}, components {components.component_count}, wrote artifacts to {out}")
+    print(f"branch {report['branch']}, components {report['component_count']}, wrote artifacts to {out}")
     return 0
 
 
@@ -308,36 +316,26 @@ def run_eigen_report(cfg: PipelineConfig) -> int:
     """Full spectrum plus a side-by-side multiplicity / component-count check."""
     cfg.validate()
     timer = _Timer()
-    dataset = load_csv(cfg.input_path, has_header=cfg.has_header, delimiter=cfg.delimiter)
-    timer.mark("load")
-    g = _build_graph(cfg, dataset)
-    components = connected_components(g)
-    timer.mark("graph")
-    lap = _build_laplacian(cfg, g)
-    es = _eigensystem(cfg, lap, g)
-    multiplicity = zero_eigenvalue_multiplicity(es.eigenvalues, cfg.zero_tol)
-    timer.mark("eigensystem")
+    spec = _spectrum(cfg, timer)
+    count = spec.component_count
 
-    agree = multiplicity == components.component_count
+    agree = spec.multiplicity == count
     report = {
-        "zero_multiplicity": int(multiplicity),
-        "component_count": int(components.component_count),
+        "zero_multiplicity": int(spec.multiplicity),
+        "component_count": int(count),
         "agreement": "AGREE" if agree else "DISAGREE",
         "zero_tol": float(cfg.zero_tol),
         "laplacian": cfg.laplacian,
-        "n": int(dataset.n),
+        "n": int(spec.n),
     }
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_eigenvalues(es.eigenvalues, out / "eigenvalues.txt")
+    _write_eigenvalues(spec.eigensystem.eigenvalues, out / "eigenvalues.txt")
     _write_report(report, out)
     timer.mark("write")
     timer.dump()
-    print(
-        f"zero multiplicity {multiplicity}, components {components.component_count}, "
-        f"{report['agreement']}"
-    )
+    print(f"zero multiplicity {spec.multiplicity}, components {count}, {report['agreement']}")
     return 0
 
 
@@ -408,15 +406,14 @@ def _add_pipeline_flags(sub) -> None:
                      help="relative tolerance for counting zero eigenvalues")
 
 
-def _merge_config(args, keys) -> PipelineConfig:
+def _merge_config(args) -> PipelineConfig:
+    # every PipelineConfig field the subcommand has a flag for
+    flags = {f.name: getattr(args, f.name) for f in fields(PipelineConfig) if hasattr(args, f.name)}
     values = _parse_config_file(args.config) if args.config else {}
-    for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values.update((key, flag) for key, flag in flags.items() if flag is not None)
     if "input_path" not in values:
         raise ValueError("missing required --input")
-    if "k" not in values and "k" in keys:
+    if "k" not in values and "k" in flags:
         raise ValueError("missing required --k")
     defaults = PipelineConfig(input_path=values["input_path"], k=values.get("k", 1))
     return replace(defaults, **values)
@@ -444,18 +441,15 @@ def main(argv=None) -> int:
     _add_common_flags(p_eigen)
     _add_pipeline_flags(p_eigen)
 
-    args = parser.parse_args(argv)
     try:
-        if args.command == "cluster":
-            cfg = _merge_config(
-                args,
-                (
-                    "input_path", "has_header", "delimiter", "graph", "kernel", "delta",
-                    "eps", "knn", "laplacian", "embedding", "k", "seed", "output_dir",
-                    "zero_tol",
-                ),
-            )
-            return run_cluster(cfg)
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a bad command line, but 2 means numerical
+        # failure here; --help exits 0 and passes through
+        if exc.code == 0:
+            raise
+        return 1
+    try:
         if args.command == "pca-equiv":
             return run_pca_equiv(
                 args.input_path if args.input_path else _missing("--input"),
@@ -464,14 +458,8 @@ def main(argv=None) -> int:
                 has_header=bool(args.has_header),
                 delimiter=args.delimiter if args.delimiter is not None else ",",
             )
-        cfg = _merge_config(
-            args,
-            (
-                "input_path", "has_header", "delimiter", "graph", "kernel", "delta",
-                "eps", "knn", "laplacian", "output_dir", "zero_tol",
-            ),
-        )
-        return run_eigen_report(cfg)
+        cfg = _merge_config(args)
+        return run_cluster(cfg) if args.command == "cluster" else run_eigen_report(cfg)
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -65,6 +65,8 @@ def load_csv(path, has_header: bool = False, delimiter: str = ",") -> Dataset:
     the first data line (the header, when present, is not counted).
     Scientific notation is accepted; the decimal separator is always '.'.
     """
+    if len(delimiter) != 1:
+        raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         rows = [row for row in reader if row]

@@ -101,25 +101,27 @@ def _check_k(k: int, upper: int, what: str) -> None:
         raise ValueError(f"k must be in [1, {upper}] for {what}, got {k}")
 
 
-def embed_nonconstant(es: EigenSystem, k: int) -> Embedding:
+def embed_nonconstant(
+    es: EigenSystem, k: int, tolerance: float = 1e-8, variant: str = "nonconstant"
+) -> Embedding:
     """Columns 1..k of the eigensystem, skipping the constant eigenvector.
 
-    Requires a connected graph's Laplacian (one zero eigenvalue); on a
-    multi-component graph the leading eigenvectors are component indicators
-    and the caller should take that path explicitly via embed_classical.
+    Requires a connected graph's Laplacian (one zero eigenvalue, counted by
+    zero_eigenvalue_multiplicity at `tolerance`); on a multi-component graph
+    the leading eigenvectors are component indicators and the caller should
+    take that path explicitly via embed_classical.  Pass variant="rw" for an
+    eig_rw eigensystem, whose columns are unit-norm but not zero-sum.
     """
     n = len(es.eigenvalues)
     _check_k(k, n - 1, "a nonconstant embedding")
-    mult = zero_eigenvalue_multiplicity(es.eigenvalues)
+    mult = zero_eigenvalue_multiplicity(es.eigenvalues, tolerance)
     if mult != 1:
         raise ValueError(
             f"zero eigenvalue multiplicity is {mult}, not 1; the graph is not "
             "connected. Use embed_classical with k = component count to read "
             "off the component indicators."
         )
-    return Embedding(
-        es.eigenvectors[:, 1 : k + 1].copy(), "nonconstant", es.eigenvalues[1 : k + 1].copy()
-    )
+    return Embedding(es.eigenvectors[:, 1 : k + 1].copy(), variant, es.eigenvalues[1 : k + 1].copy())
 
 
 def embed_classical(es: EigenSystem, k: int) -> Embedding:
@@ -130,19 +132,20 @@ def embed_classical(es: EigenSystem, k: int) -> Embedding:
 
 
 def embed_normalized(
-    es_sym: EigenSystem, degrees, k: int, scaled: bool = False
+    es_sym: EigenSystem, degrees, k: int, scaled: bool = False, tolerance: float = 1e-8
 ) -> Embedding:
     """Columns 1..k of a symmetric-normalized eigensystem.
 
     With scaled=True each row i is divided by sqrt(D_ii), mapping the
-    symmetric-normalized coordinates onto the random-walk ones.
+    symmetric-normalized coordinates onto the random-walk ones.  The graph
+    must be connected: one zero eigenvalue at `tolerance`.
     """
     deg = np.asarray(degrees, dtype=float)
     n = len(es_sym.eigenvalues)
     _check_k(k, n - 1, "a normalized embedding")
     if np.any(deg <= 0.0):
         raise ValueError("degrees must all be positive")
-    mult = zero_eigenvalue_multiplicity(es_sym.eigenvalues)
+    mult = zero_eigenvalue_multiplicity(es_sym.eigenvalues, tolerance)
     if mult != 1:
         raise ValueError(
             f"zero eigenvalue multiplicity is {mult}, not 1; normalized "

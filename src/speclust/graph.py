@@ -50,14 +50,6 @@ class ComponentLabeling:
     component_count: int
 
 
-def rbf_weight(x_i, x_j, delta: float) -> float:
-    """exp(-||x_i - x_j||^2 / (2 delta^2)), always in (0, 1]."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    diff = np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float)
-    return float(np.exp(-(diff @ diff) / (2.0 * delta * delta)))
-
-
 def _squared_distances(points: np.ndarray) -> np.ndarray:
     # pairwise (x_i - x_j) is evaluated per pair, which keeps the matrix
     # exactly symmetric; the expansion trick does not
@@ -191,11 +183,3 @@ def connected_components(g: WeightedGraph) -> ComponentLabeling:
             next_id += 1
         labels[v] = root_to_id[root]
     return ComponentLabeling(labels, next_id)
-
-
-def write_edge_list(g: WeightedGraph, path) -> None:
-    """Dump edges as "i,j,w" lines with i<j, sorted lexicographically."""
-    with open(path, "w", encoding="utf-8") as fh:
-        rows, cols = np.nonzero(np.triu(g.weights, 1))
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            fh.write(f"{i},{j},{format(g.weights[i, j], '.17g')}\n")

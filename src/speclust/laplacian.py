@@ -107,10 +107,3 @@ def zero_eigenvalue_multiplicity(eigenvalues, tolerance: float = 1e-8) -> int:
         raise ValueError("eigenvalues must be sorted ascending")
     threshold = tolerance * max(ev[-1], 1.0)
     return int(np.sum(ev <= threshold))
-
-
-def write_matrix(lap: LaplacianMatrix, path) -> None:
-    """Dense CSV dump, one row per line, 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in lap.matrix:
-            fh.write(",".join(format(x, ".17g") for x in row) + "\n")

@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset, standardize
 from .eigen import EigenSystem, eig_symmetric
 from .graph import _mirror_upper
-from .laplacian import LaplacianMatrix, laplacian_pca
+from .laplacian import laplacian_pca
 
 
 @dataclass(frozen=True)
@@ -105,19 +105,19 @@ def pca_topk(d_centered: Dataset, k: int) -> PcaModel:
     )
 
 
-def verify_shift_relation(l_pca: LaplacianMatrix, gram: np.ndarray) -> np.ndarray:
+def verify_shift_relation(es: EigenSystem, gram: np.ndarray) -> np.ndarray:
     """Residuals of G u_t = (2n - beta_t) u_t across the whole eigensystem.
 
-    Entry 0 covers the constant eigenvector, where the relation degenerates
-    to G u_0 = 0; entries 1..n-1 are the eigenvalue-shift residuals.
+    `es` is the eigensystem of the PCA Laplacian (laplacian_pca) and `gram`
+    the Gram matrix X X^T of the same standardized data; nothing is solved
+    here.  Entry 0 covers the constant eigenvector, where the relation
+    degenerates to G u_0 = 0; entries 1..n-1 are the eigenvalue-shift
+    residuals.
     """
-    if l_pca.variant != "pca":
-        raise ValueError(f"expected a pca-variant Laplacian, got {l_pca.variant!r}")
     gram = np.asarray(gram, dtype=float)
-    n = l_pca.matrix.shape[0]
+    n = len(es.eigenvalues)
     if gram.shape != (n, n):
-        raise ValueError(f"gram shape {gram.shape} does not match Laplacian size {n}")
-    es = eig_symmetric(l_pca.matrix)
+        raise ValueError(f"gram shape {gram.shape} does not match eigensystem size {n}")
     residuals = np.empty(n)
     residuals[0] = float(np.linalg.norm(gram @ es.eigenvectors[:, 0]))
     for t in range(1, n):
@@ -159,7 +159,7 @@ def pca_equivalence_report(d: Dataset, k: int) -> EquivalenceReport:
 
     model = pca_topk(std, k)
     angles = subspace_principal_angles(route_a, model.components)
-    residuals = verify_shift_relation(lap, model.gram)
+    residuals = verify_shift_relation(es, model.gram)
 
     beta = es.eigenvalues
     if k <= n - 2:

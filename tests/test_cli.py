@@ -184,6 +184,47 @@ def test_eigen_near_disconnection_disagrees(tmp_path, capsys):
     assert "zero multiplicity 2, components 1, DISAGREE" in capsys.readouterr().out
 
 
+# (points seed, blob separation, blob radius, --delta, --zero-tol, the
+# multiplicity eigen reports); cross-blob weights are positive in both, so
+# there is one component, and the Fiedler value sits near 1e-8 * lambda_max
+NEAR_DISCONNECTION = [
+    pytest.param(63, 8.5, 0.05, "1.0", "1e-8", 2, id="default-tol"),
+    pytest.param(64, 4.0, 0.2, "0.55", "1e-12", 1, id="tight-tol"),
+]
+
+
+@pytest.mark.parametrize("laplacian", ["unnormalized", "sym", "rw"])
+@pytest.mark.parametrize("seed, sep, radius, delta, zero_tol, mult", NEAR_DISCONNECTION)
+def test_cluster_gate_reads_eigen_multiplicity(
+    tmp_path, capsys, seed, sep, radius, delta, zero_tol, mult, laplacian
+):
+    rng = np.random.default_rng(seed)
+    pts, truth = blobs(rng, [(0.0, 0.0), (sep, 0.0)], 20, radius)
+    csv = tmp_path / "near.csv"
+    write_points_csv(csv, pts)
+    flags = ["--input", str(csv), "--graph", "full", "--delta", delta,
+             "--zero-tol", zero_tol, "--laplacian", laplacian]
+    assert cli.main(["eigen", *flags, "--out", str(tmp_path / "eigen")]) == 0
+    assert f"zero multiplicity {mult}, components 1" in capsys.readouterr().out
+
+    out = tmp_path / "cluster"
+    rc = cli.main(["cluster", *flags, "--k", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    if mult != 1:
+        assert rc == 1
+        assert f"multiplicity is {mult}" in err
+    elif laplacian == "unnormalized":
+        # past the gate, but at this gap the computed Fiedler vector mixes
+        # with the constant one beyond the embedding's column-sum check
+        assert rc == 1
+        assert "columns must sum to 0" in err
+    else:
+        assert rc == 0, err
+        report = json.loads((out / "report.json").read_text())
+        assert (report["zero_multiplicity"], report["branch"]) == (1, "connected")
+        assert adjusted_rand_index(_read_labels(out / "labels.csv"), truth) == 1.0
+
+
 def test_config_file_supplies_flags(tmp_path):
     csv, truth = _two_blob_csv(tmp_path)
     out = tmp_path / "out"
@@ -234,6 +275,73 @@ def test_config_bad_boolean_rejected(tmp_path):
 
 def test_cluster_missing_input_flag(tmp_path):
     assert cli.main(["cluster", "--k", "2", "--delta", "1.0"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--input", "x.csv", "--graph", "bogus", "--k", "2"],
+        ["cluster", "--input", "x.csv", "--k", "two"],
+        [],
+        ["pca-equiv", "--input", "x.csv"],
+    ],
+    ids=["bad-choice", "bad-int", "no-subcommand", "pca-equiv-without-k"],
+)
+def test_bad_command_line_exits_1(argv):
+    # 2 is reserved for numerical failure
+    assert cli.main(argv) == 1
+
+
+def test_help_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "command, delimiter, via_config",
+    [
+        ("cluster", ";;", False),
+        ("cluster", "", False),
+        ("cluster", ";;", True),
+        ("pca-equiv", ";;", False),
+    ],
+    ids=["flag", "flag-empty", "config", "pca-equiv-flag"],
+)
+def test_delimiter_must_be_one_character(tmp_path, capsys, command, delimiter, via_config):
+    csv, _ = _two_blob_csv(tmp_path)
+    argv = [command, "--k", "2", "--out", str(tmp_path / "out")]
+    if via_config:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"input = {csv}\ndelta = 0.5\ndelimiter = {delimiter}\n")
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--input", str(csv), "--delimiter", delimiter]
+        if command == "cluster":
+            argv += ["--delta", "0.5"]
+    assert cli.main(argv) == 1
+    assert "delimiter must be a single character" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--zero-tol", "nan"],
+        ["--zero-tol", "inf"],
+        ["--delta", "nan"],
+        ["--delta", "inf"],
+        ["--graph", "epsilon", "--kernel", "unit", "--eps", "nan"],
+        ["--graph", "epsilon", "--kernel", "unit", "--eps", "inf"],
+    ],
+    ids=["zero-tol-nan", "zero-tol-inf", "delta-nan", "delta-inf", "eps-nan", "eps-inf"],
+)
+def test_non_finite_numbers_rejected(tmp_path, capsys, flags):
+    csv, _ = _two_blob_csv(tmp_path)
+    out = tmp_path / "out"
+    argv = ["eigen", "--input", str(csv), "--delta", "0.5", *flags, "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_installed_entry_point(tmp_path):

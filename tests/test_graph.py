@@ -11,9 +11,7 @@ from speclust import (
     build_knn_graph,
     center_columns,
     connected_components,
-    rbf_weight,
     scale_global,
-    write_edge_list,
 )
 
 
@@ -21,31 +19,35 @@ def _dataset(points):
     return Dataset(points=np.asarray(points, dtype=float), column_names=None)
 
 
+def _rbf_weight(x_i, x_j, delta):
+    # the RBF weight of one pair, as the full graph computes it
+    g = build_full_graph(_dataset([x_i, x_j]), kernel="rbf", delta=delta)
+    return g.weights[0, 1]
+
+
 def test_rbf_weight_zero_distance():
-    x = np.array([1.0, 2.0])
-    assert rbf_weight(x, x, 0.7) == 1.0
+    x = [1.0, 2.0]
+    assert _rbf_weight(x, x, 0.7) == 1.0
 
 
 def test_rbf_weight_at_2delta_squared():
-    x = np.array([0.0])
-    y = np.array([np.sqrt(2.0) * 0.9])  # distance^2 = 2 * delta^2 with delta 0.9
-    assert abs(rbf_weight(x, y, 0.9) - np.exp(-1.0)) < 1e-12
+    y = [np.sqrt(2.0) * 0.9]  # distance^2 = 2 * delta^2 with delta 0.9
+    assert abs(_rbf_weight([0.0], y, 0.9) - np.exp(-1.0)) < 1e-12
 
 
 def test_rbf_weight_hand_value():
-    w = rbf_weight(np.array([0.0, 0.0]), np.array([3.0, 4.0]), 5.0)
+    w = _rbf_weight([0.0, 0.0], [3.0, 4.0], 5.0)
     assert abs(w - np.exp(-0.5)) < 1e-12
     assert abs(w - 0.606531) < 1e-6
 
 
 def test_rbf_weight_rejects_nonpositive_delta():
     with pytest.raises(ValueError):
-        rbf_weight(np.array([0.0]), np.array([1.0]), 0.0)
+        _rbf_weight([0.0], [1.0], 0.0)
 
 
 def test_rbf_monotone_in_distance():
-    x = np.array([0.0])
-    assert rbf_weight(x, np.array([1.0]), 2.0) > rbf_weight(x, np.array([1.5]), 2.0)
+    assert _rbf_weight([0.0], [1.0], 2.0) > _rbf_weight([0.0], [1.5], 2.0)
 
 
 def test_full_graph_identical_points():
@@ -185,10 +187,3 @@ def test_graph_type_rejects_asymmetric_and_negative():
     w2 = np.array([[0.0, -1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError):
         WeightedGraph(weights=w2, degrees=w2.sum(axis=1))
-
-
-def test_edge_list_dump(tmp_path):
-    g = build_epsilon_graph(_dataset([[0.0], [1.0], [3.0]]), 1.5)
-    path = tmp_path / "edges.csv"
-    write_edge_list(g, path)
-    assert path.read_text(encoding="utf-8") == "0,1,1\n"

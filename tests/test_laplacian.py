@@ -14,7 +14,6 @@ from speclust import (
     laplacian_unnormalized,
     scale_global,
     standardize,
-    write_matrix,
     zero_eigenvalue_multiplicity,
 )
 
@@ -191,13 +190,3 @@ def test_zero_multiplicity_relative_tolerance():
     base = np.array([0.0, 1e-12, 0.5, 2.0])
     assert zero_eigenvalue_multiplicity(base) == 2
     assert zero_eigenvalue_multiplicity(base * 1e6) == 2
-
-
-def test_write_matrix_roundtrips(tmp_path):
-    lap = laplacian_unnormalized(_graph([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
-    path = tmp_path / "lap.csv"
-    write_matrix(lap, path)
-    back = np.array(
-        [[float(x) for x in line.split(",")] for line in path.read_text().splitlines()]
-    )
-    np.testing.assert_array_equal(back, lap.matrix)

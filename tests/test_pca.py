@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import speclust.pca
 from speclust import (
     center_columns,
+    eig_symmetric,
     laplacian_pca,
     load_csv,
     pca_equivalence_report,
@@ -80,7 +82,7 @@ def test_shift_relation_two_point_hand_example():
     d = standardize(_dataset([[1.0, 0.0], [-1.0, 0.0]]))
     lap = laplacian_pca(d)
     gram = d.points @ d.points.T
-    residuals = verify_shift_relation(lap, gram)
+    residuals = verify_shift_relation(eig_symmetric(lap.matrix), gram)
     assert residuals.shape == (2,)
     # entry 0: the constant eigenvector is annihilated by the centered gram
     assert residuals[0] <= 1e-9
@@ -92,7 +94,7 @@ def test_shift_relation_random():
     d = standardize(_dataset(rng.normal(size=(7, 2))))
     lap = laplacian_pca(d)
     gram = d.points @ d.points.T
-    residuals = verify_shift_relation(lap, gram)
+    residuals = verify_shift_relation(eig_symmetric(lap.matrix), gram)
     n = 7
     assert residuals.max() <= 1e-7 * max(2.0 * n, 1.0)
 
@@ -134,6 +136,22 @@ def test_equivalence_random_all_k():
         assert report.max_angle <= 1e-6
         assert report.shift_residuals.max() <= 1e-7 * 18.0
         assert not report.degenerate_spectrum
+
+
+def test_equivalence_report_solves_twice(monkeypatch):
+    # one solve for the PCA Laplacian, reused by the shift relation, and one
+    # for the Gram matrix
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eig_symmetric(a)
+
+    monkeypatch.setattr(speclust.pca, "eig_symmetric", counting)
+    rng = np.random.default_rng(54)
+    report = pca_equivalence_report(_dataset(rng.normal(size=(7, 3))), 2)
+    assert calls == [(7, 7), (7, 7)]
+    assert report.max_angle <= 1e-6
 
 
 def test_equivalence_square_corners_repeated_eigenvalue():
