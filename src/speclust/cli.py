@@ -31,7 +31,7 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_type_hints
 
 from .cluster import kmeans, write_labels
 from .data import load_csv
@@ -339,21 +339,10 @@ def run_eigen_report(cfg: PipelineConfig) -> int:
     return 0
 
 
+# config-file value types, read off the dataclass annotations (X | None -> X)
 _CONFIG_TYPES = {
-    "input_path": str,
-    "k": int,
-    "has_header": bool,
-    "delimiter": str,
-    "graph": str,
-    "kernel": str,
-    "delta": float,
-    "eps": float,
-    "knn": int,
-    "laplacian": str,
-    "embedding": str,
-    "seed": int,
-    "output_dir": str,
-    "zero_tol": float,
+    name: next((arg for arg in get_args(hint) if arg is not type(None)), hint)
+    for name, hint in get_type_hints(PipelineConfig).items()
 }
 
 # flag spellings accepted in config files, mapped to field names

@@ -2,8 +2,9 @@
 
 Every module in the package consumes eigensystems from here, so the solver
 is deliberately self-contained: plain cyclic Jacobi, no external LAPACK
-path.  The kernel is JIT-compiled with numba when available and runs as
-ordinary Python otherwise (same source, same arithmetic, only slower).
+path.  Rotations are applied as elementwise numpy row and column updates,
+never through BLAS, so the result does not depend on the machine's BLAS or
+its thread count.
 
 Convergence: off-diagonal Frobenius norm <= 1e-12 * ||A||_F, or 100 sweeps,
 whichever comes first.  Non-convergence raises; it is never silent.
@@ -25,29 +26,28 @@ class ConvergenceError(RuntimeError):
     """Raised when the rotation sweeps fail to annihilate the off-diagonal."""
 
 
+def _ordered_sum_of_squares(entries, weight):
+    # added left to right from 0.0, as a scalar loop would; np.sum's pairwise
+    # summation moves the last bits and with them the sweep count
+    return np.cumsum(np.concatenate(([0.0], weight * entries * entries)))[-1]
+
+
 def _jacobi_sweeps(a, v, max_sweeps, rel_tol):
     """Run cyclic Jacobi sweeps in place on `a`, accumulating rotations in `v`.
 
     Returns (sweeps_used, final_offdiag_norm, threshold).  `a` ends diagonal
     up to the threshold; its diagonal holds the eigenvalues, the columns of
-    `v` the eigenvectors.
+    `v` the eigenvectors.  Pairs (p, q) are visited in row-major order; each
+    rotation updates whole rows and columns at once.
     """
     n = a.shape[0]
-    frob = 0.0
-    for i in range(n):
-        for j in range(n):
-            frob += a[i, j] * a[i, j]
-    threshold = rel_tol * np.sqrt(frob)
+    threshold = rel_tol * np.sqrt(_ordered_sum_of_squares(a.ravel(), 1.0))
+    upper = np.triu_indices(n, 1)
 
     sweeps = 0
-    off = 0.0
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * a[p, q] * a[p, q]
-        off = np.sqrt(off)
-        if off <= threshold:
+    while True:
+        off = np.sqrt(_ordered_sum_of_squares(a[upper], 2.0))
+        if off <= threshold or sweeps == max_sweeps:
             return sweeps, off, threshold
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -70,38 +70,18 @@ def _jacobi_sweeps(a, v, max_sweeps, rel_tol):
                     t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
-                for i in range(n):
-                    if i != p and i != q:
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = aip * c - aiq * s
-                        a[p, i] = a[i, p]
-                        a[i, q] = aiq * c + aip * s
-                        a[q, i] = a[i, q]
+                col_p = a[:, p] * c - a[:, q] * s
+                col_q = a[:, q] * c + a[:, p] * s
+                a[:, p] = a[p, :] = col_p
+                a[:, q] = a[q, :] = col_q
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
                 a[p, q] = 0.0
                 a[q, p] = 0.0
-                for i in range(n):
-                    vip = v[i, p]
-                    viq = v[i, q]
-                    v[i, p] = vip * c - viq * s
-                    v[i, q] = viq * c + vip * s
+                vec_p = v[:, p] * c - v[:, q] * s
+                v[:, q] = v[:, q] * c + v[:, p] * s
+                v[:, p] = vec_p
         sweeps += 1
-
-    off = 0.0
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            off += 2.0 * a[p, q] * a[p, q]
-    return sweeps, np.sqrt(off), threshold
-
-
-try:
-    from numba import njit
-
-    _jacobi_sweeps = njit(cache=True)(_jacobi_sweeps)
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    pass
 
 
 @dataclass(frozen=True)

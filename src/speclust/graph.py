@@ -50,17 +50,31 @@ class ComponentLabeling:
     component_count: int
 
 
+# rows of the pairwise difference tensor held at once: the temporary is
+# _DISTANCE_ROWS x n x m doubles instead of n x n x m
+_DISTANCE_ROWS = 16
+
+
 def _squared_distances(points: np.ndarray) -> np.ndarray:
     # pairwise (x_i - x_j) is evaluated per pair, which keeps the matrix
     # exactly symmetric; the expansion trick does not
-    diff = points[:, None, :] - points[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    n = points.shape[0]
+    out = np.empty((n, n))
+    for start in range(0, n, _DISTANCE_ROWS):
+        diff = points[start : start + _DISTANCE_ROWS, None, :] - points[None, :, :]
+        out[start : start + _DISTANCE_ROWS] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
 
 
 def _mirror_upper(w: np.ndarray, keep_diagonal: bool = False) -> np.ndarray:
     upper = np.triu(w, 0 if keep_diagonal else 1)
     out = upper + np.triu(w, 1).T
     return out
+
+
+def _gram(points: np.ndarray) -> np.ndarray:
+    """X X^T, exactly symmetric: the upper triangle mirrored onto the lower."""
+    return _mirror_upper(points @ points.T, keep_diagonal=True)
 
 
 def _from_weights(w: np.ndarray) -> WeightedGraph:
@@ -82,8 +96,7 @@ def build_full_graph(d: Dataset, kernel: str = "rbf", delta: float | None = None
         np.fill_diagonal(w, 0.0)
         return _from_weights(_mirror_upper(w))
     if kernel == "shifted_dot":
-        w = 2.0 + d.points @ d.points.T
-        w = _mirror_upper(w, keep_diagonal=True)
+        w = 2.0 + _gram(d.points)
         if w.min() <= 0.0:
             i, j = np.unravel_index(np.argmin(w), w.shape)
             raise ValueError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .graph import WeightedGraph, _mirror_upper
+from .graph import WeightedGraph, _gram
 
 VARIANTS = ("unnormalized", "sym", "rw", "pca")
 
@@ -84,7 +84,7 @@ def laplacian_pca(d_standardized: Dataset) -> LaplacianMatrix:
         raise ValueError(
             f"dataset is not centered: max |column mean| = {col_means.max():.3e}"
         )
-    gram = _mirror_upper(x @ x.T, keep_diagonal=True)
+    gram = _gram(x)
     if np.abs(gram).max() >= 2.0:
         raise ValueError(
             f"max |x_i.x_j| = {np.abs(gram).max()} >= 2; scale the dataset "

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset, standardize
 from .eigen import EigenSystem, eig_symmetric
-from .graph import _mirror_upper
+from .graph import _gram
 from .laplacian import laplacian_pca
 
 
@@ -77,10 +77,6 @@ class EquivalenceReport:
             raise ValueError("principal angles must be ascending")
         self.principal_angles.setflags(write=False)
         self.shift_residuals.setflags(write=False)
-
-
-def _gram(points: np.ndarray) -> np.ndarray:
-    return _mirror_upper(points @ points.T, keep_diagonal=True)
 
 
 def pca_topk(d_centered: Dataset, k: int) -> PcaModel:

@@ -2,8 +2,9 @@
 
 Nothing here imports from speclust: the point is a second, dumber route to
 the same answers.  The eigensolver oracle is shifted power iteration with
-deflation; the component oracle is breadth-first search over positive
-weights.
+deflation; the Jacobi kernel reference is the element-by-element loop the
+vectorized kernel must reproduce bit for bit; the component oracle is
+breadth-first search over positive weights.
 """
 
 from __future__ import annotations
@@ -53,6 +54,81 @@ def power_eigensystem(a, residual_tol=1e-11, max_mults=200_000):
     lam = np.array(values)[order]
     vec = np.column_stack(vectors)[:, order]
     return lam, vec
+
+
+def scalar_jacobi_sweeps(a, v, max_sweeps, rel_tol):
+    """Run cyclic Jacobi sweeps in place on `a`, accumulating rotations in `v`.
+
+    The scalar reference for speclust's vectorized kernel: same (p, q) order,
+    same per-element arithmetic, one element at a time, so the two must agree
+    bit for bit.
+
+    Returns (sweeps_used, final_offdiag_norm, threshold).  `a` ends diagonal
+    up to the threshold; its diagonal holds the eigenvalues, the columns of
+    `v` the eigenvectors.
+    """
+    n = a.shape[0]
+    frob = 0.0
+    for i in range(n):
+        for j in range(n):
+            frob += a[i, j] * a[i, j]
+    threshold = rel_tol * np.sqrt(frob)
+
+    sweeps = 0
+    off = 0.0
+    for _ in range(max_sweeps):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                off += 2.0 * a[p, q] * a[p, q]
+        off = np.sqrt(off)
+        if off <= threshold:
+            return sweeps, off, threshold
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                app = a[p, p]
+                aqq = a[q, q]
+                # entries that can no longer affect the diagonal at working
+                # precision are dropped outright (standard Jacobi guard)
+                tiny = 100.0 * abs(apq)
+                if abs(app) + tiny == abs(app) and abs(aqq) + tiny == abs(aqq):
+                    a[p, q] = 0.0
+                    a[q, p] = 0.0
+                    continue
+                tau = (aqq - app) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                for i in range(n):
+                    if i != p and i != q:
+                        aip = a[i, p]
+                        aiq = a[i, q]
+                        a[i, p] = aip * c - aiq * s
+                        a[p, i] = a[i, p]
+                        a[i, q] = aiq * c + aip * s
+                        a[q, i] = a[i, q]
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                for i in range(n):
+                    vip = v[i, p]
+                    viq = v[i, q]
+                    v[i, p] = vip * c - viq * s
+                    v[i, q] = viq * c + vip * s
+        sweeps += 1
+
+    off = 0.0
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            off += 2.0 * a[p, q] * a[p, q]
+    return sweeps, np.sqrt(off), threshold
 
 
 def bfs_components(weights):

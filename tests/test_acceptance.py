@@ -3,8 +3,7 @@
 Every criterion draws its own seeded corpus, checks the property across the
 whole corpus, prints exactly one "CRITERION n: PASS/FAIL" line with the count
 and elapsed time, and only then asserts.  Criteria with a runtime budget
-assert the measured time too (the JIT warm-up in conftest keeps compilation
-out of these measurements).
+assert the measured time too.
 """
 
 import json

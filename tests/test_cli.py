@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import speclust.eigen
 from generators import blobs, write_points_csv
 from speclust import EquivalenceReport, adjusted_rand_index, cli
 
@@ -95,6 +99,50 @@ def test_cluster_artifacts_byte_identical(tmp_path):
     assert cli.main(argv + ["--out", str(out_b)]) == 0
     for name in ("labels.csv", "embedding.csv", "eigenvalues.txt", "report.json", "report.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def _artifacts(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_artifacts_independent_of_blas_threads(tmp_path):
+    # the README promises the same bytes at any thread count; each run is a
+    # fresh interpreter because OpenBLAS reads its thread count at import
+    rng = np.random.default_rng(12)
+    centers = 3.0 * np.eye(3, 16)
+    pts, _ = blobs(rng, [tuple(c) for c in centers], 24, 0.5)
+    csv = tmp_path / "pts.csv"
+    write_points_csv(csv, pts)
+    commands = {
+        "cluster": ["cluster", "--graph", "full", "--laplacian", "sym", "--delta", "2.0", "--k", "3"],
+        "pca-equiv": ["pca-equiv", "--k", "3"],
+        "eigen": ["eigen", "--graph", "full", "--delta", "2.0"],
+    }
+    src = str(Path(speclust.__file__).resolve().parents[1])
+    for name, argv in commands.items():
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "speclust.cli", *argv, "--input", str(csv), "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(_artifacts(out))
+        assert runs[0] and runs[0] == runs[1], name
+
+
+def test_cluster_non_convergence_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(speclust.eigen, "MAX_SWEEPS", 1)
+    csv, _ = _two_blob_csv(tmp_path)
+    out = tmp_path / "out"
+    rc = cli.main(["cluster", "--input", str(csv), "--graph", "full", "--delta", "0.5",
+                   "--k", "2", "--out", str(out)])
+    assert rc == 2
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cluster_artifacts_free_of_timings(tmp_path):

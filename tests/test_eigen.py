@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from generators import connected_weights, random_symmetric
-from oracles import power_eigensystem
+import speclust.eigen
+from generators import connected_weights, multi_component_weights, random_symmetric
+from oracles import power_eigensystem, scalar_jacobi_sweeps
 from speclust import (
+    ConvergenceError,
     WeightedGraph,
     eig_rw,
     eig_symmetric,
@@ -172,3 +174,59 @@ def test_eig_rw_rejects_wrong_variant():
     g = _graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="rw"):
         eig_rw(laplacian_unnormalized(g), g.degrees)
+
+
+# a[0, 1] = 1 cannot move the 1e20 diagonal at working precision, so the
+# tiny guard drops it; a[1, 2] keeps the off-norm above the threshold, so the
+# sweep reaches that guard at all
+_TINY_GUARD = np.array([[1e20, 1.0, 0.0], [1.0, 1e20, 1e10], [0.0, 1e10, 1.0]])
+
+
+def _kernel_corpus():
+    rng = np.random.default_rng(23)
+    corpus = [
+        pytest.param(random_symmetric(rng, n, scale=float(rng.uniform(0.1, 10.0))),
+                     id=f"random-n{n}-{r}")
+        for n in range(1, 13)
+        for r in range(3)
+    ]
+    corpus += [pytest.param(np.zeros((n, n)), id=f"zero-n{n}") for n in (1, 2, 5)]
+    corpus += [pytest.param(np.eye(n), id=f"identity-n{n}") for n in (1, 2, 5)]
+    # three components: the exact zeros between them take the apq == 0 skip
+    weights, _ = multi_component_weights(rng, 10, 3)
+    corpus.append(pytest.param(laplacian_unnormalized(_graph(weights)).matrix,
+                               id="components-laplacian"))
+    corpus.append(pytest.param(_TINY_GUARD, id="tiny-guard"))
+    corpus.append(pytest.param(np.array([[1.0, 0.5], [0.5, 2.0]]), id="tau-positive"))
+    corpus.append(pytest.param(np.array([[2.0, 0.5], [0.5, 1.0]]), id="tau-negative"))
+    return corpus
+
+
+@pytest.mark.parametrize("max_sweeps", [speclust.eigen.MAX_SWEEPS, 1, 0])
+@pytest.mark.parametrize("mat", _kernel_corpus())
+def test_kernel_matches_scalar_reference_bit_for_bit(mat, max_sweeps):
+    n = mat.shape[0]
+    a, ref_a = mat.copy(), mat.copy()
+    v, ref_v = np.eye(n), np.eye(n)
+    got = speclust.eigen._jacobi_sweeps(a, v, max_sweeps, speclust.eigen.OFFDIAG_REL_TOL)
+    want = scalar_jacobi_sweeps(ref_a, ref_v, max_sweeps, speclust.eigen.OFFDIAG_REL_TOL)
+    assert np.array_equal(a, ref_a)
+    assert np.array_equal(v, ref_v)
+    assert got == want
+
+
+def test_tiny_guard_drops_the_pair_without_rotating():
+    a = _TINY_GUARD.copy()
+    v = np.eye(3)
+    sweeps, off, threshold = speclust.eigen._jacobi_sweeps(a, v, 100, 1e-12)
+    assert sweeps >= 1 and off <= threshold
+    assert a[0, 1] == 0.0 and a[1, 0] == 0.0
+    # a (0, 1) rotation at tau = 0 would have mixed columns 0 and 1 at 45 degrees
+    np.testing.assert_array_equal(v[:, 0], [1.0, 0.0, 0.0])
+
+
+def test_non_convergence_raises(monkeypatch):
+    monkeypatch.setattr(speclust.eigen, "MAX_SWEEPS", 1)
+    a = random_symmetric(np.random.default_rng(24), 6)
+    with pytest.raises(ConvergenceError, match="after 1 sweeps"):
+        eig_symmetric(a)

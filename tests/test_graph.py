@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from speclust import (
     connected_components,
     scale_global,
 )
+from speclust.graph import _squared_distances
 
 
 def _dataset(points):
@@ -104,6 +107,27 @@ def test_knn_two_separated_triples():
     pts = [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [50.0, 50.0], [50.1, 50.0], [50.0, 50.1]]
     g = build_knn_graph(_dataset(pts), 2, delta=1.0)
     assert connected_components(g).component_count == 2
+
+
+@pytest.mark.parametrize("m", [1, 3, 50])
+def test_squared_distances_blocks_match_one_pass(m):
+    # n spans several row blocks and ends in a partial one
+    pts = np.random.default_rng(26).normal(size=(37, m))
+    diff = pts[:, None, :] - pts[None, :, :]
+    assert np.array_equal(_squared_distances(pts), np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def test_knn_graph_memory_stays_below_the_pair_tensor():
+    n, m = 400, 256
+    d = _dataset(np.random.default_rng(25).normal(size=(n, m)))
+    tracemalloc.start()
+    try:
+        build_knn_graph(d, 5, delta=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n x n x m difference tensor would be 328 MB on its own
+    assert peak < n * n * m * 8 / 8
 
 
 def test_knn_rejects_bad_neighbor_count():
