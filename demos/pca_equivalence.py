@@ -15,7 +15,7 @@ from speclust import (
     Dataset,
     build_full_graph,
     eig_symmetric,
-    laplacian_pca,
+    laplacian_unnormalized,
     pca_equivalence_report,
     pca_topk,
     standardize,
@@ -35,7 +35,7 @@ print(f"shifted-dot degrees: all equal to 2n = {2 * n} "
 
 # eigenvectors pass through the shift: G u = (2n - beta) u for each
 # non-constant Laplacian eigenpair (beta, u)
-es = eig_symmetric(laplacian_pca(data).matrix)
+es = eig_symmetric(laplacian_unnormalized(graph).matrix)
 gram = data.points @ data.points.T
 residuals = verify_shift_relation(es, gram)
 print(f"shift-relation residuals: max {residuals.max():.2e}")

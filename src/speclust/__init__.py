@@ -33,7 +33,6 @@ from .graph import (
 )
 from .laplacian import (
     LaplacianMatrix,
-    laplacian_pca,
     laplacian_rw,
     laplacian_sym,
     laplacian_unnormalized,
@@ -81,7 +80,6 @@ __all__ = [
     "embed_normalized",
     "indicator_check",
     "kmeans",
-    "laplacian_pca",
     "laplacian_rw",
     "laplacian_sym",
     "laplacian_unnormalized",

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _squared_distances
+
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
@@ -58,17 +60,10 @@ class ClusterResult:
         return self.centroids.shape[0]
 
 
-def _sq_dist_to_centroids(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # broadcast difference, not a BLAS product: elementwise reductions keep
-    # results identical across thread counts
-    diff = rows[:, None, :] - centroids[None, :, :]
-    return np.einsum("ikj,ikj->ik", diff, diff)
-
-
 def _plus_plus_init(rows: np.ndarray, k: int, rng: Lcg64) -> np.ndarray:
     n = rows.shape[0]
     chosen = [min(int(rng.next_float() * n), n - 1)]
-    d2 = _sq_dist_to_centroids(rows, rows[chosen])[:, 0]
+    d2 = _squared_distances(rows, rows[chosen])[:, 0]
     while len(chosen) < k:
         total = d2.sum()
         if total <= 0.0:
@@ -80,7 +75,7 @@ def _plus_plus_init(rows: np.ndarray, k: int, rng: Lcg64) -> np.ndarray:
             r = rng.next_float() * total
             idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_dist_to_centroids(rows, rows[[idx]])[:, 0])
+        d2 = np.minimum(d2, _squared_distances(rows, rows[[idx]])[:, 0])
     return rows[chosen].copy()
 
 
@@ -124,7 +119,7 @@ def kmeans(rows, k: int, seed: int, max_iter: int = 300) -> ClusterResult:
 
     rng = Lcg64(seed)
     centroids = _plus_plus_init(rows, k, rng)
-    d2 = _sq_dist_to_centroids(rows, centroids)
+    d2 = _squared_distances(rows, centroids)
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), labels].sum())
     trace = [inertia]
@@ -139,7 +134,7 @@ def kmeans(rows, k: int, seed: int, max_iter: int = 300) -> ClusterResult:
                 new_centroids[cid] = rows[members].mean(axis=0)
         new_centroids = _repair_empty(rows, new_centroids, labels, d2)
 
-        d2 = _sq_dist_to_centroids(rows, new_centroids)
+        d2 = _squared_distances(rows, new_centroids)
         new_labels = np.argmin(d2, axis=1)
         new_inertia = float(d2[np.arange(n), new_labels].sum())
         trace.append(new_inertia)

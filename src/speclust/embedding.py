@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import EigenSystem
-from .graph import ComponentLabeling, WeightedGraph
+from .graph import ComponentLabeling, WeightedGraph, _squared_distances
 from .laplacian import LaplacianMatrix, zero_eigenvalue_multiplicity
 
 VARIANTS = ("nonconstant", "classical", "sym", "sym_scaled", "rw")
@@ -172,9 +172,7 @@ def eigenvalue_scale(e: Embedding) -> Embedding:
 
 def pairwise_dissimilarity(y) -> np.ndarray:
     """d_ij = ||y_i - y_j||^2, symmetric with zero diagonal."""
-    coords = _coords(y)
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    return _squared_distances(_coords(y))
 
 
 def covariance_objective(y, g: WeightedGraph, lap: LaplacianMatrix) -> ObjectiveReport:
@@ -192,13 +190,13 @@ def covariance_objective(y, g: WeightedGraph, lap: LaplacianMatrix) -> Objective
             f"shape mismatch: embedding has {coords.shape[0]} rows, graph {n} "
             f"vertices, Laplacian {lap.matrix.shape[0]}"
         )
-    if lap.variant == "unnormalized" or lap.variant == "pca":
+    if lap.variant == "unnormalized":
         rows = coords
     elif lap.variant == "sym":
         rows = coords / np.sqrt(g.degrees)[:, None]
     else:
         raise ValueError(
-            f"objective is defined for unnormalized/pca/sym Laplacians, got {lap.variant!r}"
+            f"objective is defined for unnormalized/sym Laplacians, got {lap.variant!r}"
         )
 
     d = pairwise_dissimilarity(rows)
@@ -207,9 +205,10 @@ def covariance_objective(y, g: WeightedGraph, lap: LaplacianMatrix) -> Objective
     wbar = w.mean()
     covariance = -((d - dbar) * (w - wbar)).sum() / (2.0 * n)
 
-    trace_term = -np.trace(coords.T @ lap.matrix @ coords) / n
+    # einsum and elementwise sums, not BLAS: the same bits under any BLAS kernel
+    trace_term = -(coords * np.einsum("ij,jt->it", lap.matrix, coords)).sum() / n
     col_sum = rows.sum(axis=0)
-    constant_term = (wbar / n) * (n * (rows**2).sum() - col_sum @ col_sum)
+    constant_term = (wbar / n) * (n * (rows**2).sum() - (col_sum * col_sum).sum())
     gap = abs(covariance - trace_term - constant_term)
     return ObjectiveReport(float(covariance), float(trace_term), float(constant_term), float(gap))
 

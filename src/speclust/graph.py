@@ -1,8 +1,8 @@
 """Weighted similarity graphs and a union-find components oracle.
 
-All builders produce dense n x n matrices that are symmetric by construction
-(the strict upper triangle is computed once and mirrored), with nonnegative
-weights and recomputed degree vectors.
+All builders produce dense n x n matrices that are exactly symmetric by
+construction (every pair term is computed the same way in both orders), with
+nonnegative weights and recomputed degree vectors.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ class WeightedGraph:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be square, got shape {w.shape}")
+        # finiteness first: NaN != NaN would fail the symmetry test instead
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if not np.array_equal(w, w.T):
             raise ValueError("weights must be exactly symmetric")
         if w.min(initial=0.0) < 0.0:
             raise ValueError("weights must be nonnegative")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
         w.setflags(write=False)
         deg = np.asarray(self.degrees, dtype=float)
         deg.setflags(write=False)
@@ -50,31 +51,66 @@ class ComponentLabeling:
     component_count: int
 
 
-# rows of the pairwise difference tensor held at once: the temporary is
-# _DISTANCE_ROWS x n x m doubles instead of n x n x m
-_DISTANCE_ROWS = 16
+# entries of the pairwise difference tensor held at once, in whole rows of
+# a: the temporary stays near 2 MiB instead of len(a) x len(b) x m doubles
+_DISTANCE_ENTRIES = 1 << 18
 
 
-def _squared_distances(points: np.ndarray) -> np.ndarray:
-    # pairwise (x_i - x_j) is evaluated per pair, which keeps the matrix
-    # exactly symmetric; the expansion trick does not
-    n = points.shape[0]
-    out = np.empty((n, n))
-    for start in range(0, n, _DISTANCE_ROWS):
-        diff = points[start : start + _DISTANCE_ROWS, None, :] - points[None, :, :]
-        out[start : start + _DISTANCE_ROWS] = np.einsum("ijk,ijk->ij", diff, diff)
-    return out
+def _squared_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """||a_i - b_j||^2 for every row pair (b defaults to a).
 
-
-def _mirror_upper(w: np.ndarray, keep_diagonal: bool = False) -> np.ndarray:
-    upper = np.triu(w, 0 if keep_diagonal else 1)
-    out = upper + np.triu(w, 1).T
+    Each difference a_i - b_j is formed and reduced elementwise, never by a
+    BLAS product, which keeps the result independent of the BLAS and a's
+    self-distances exactly symmetric (the expansion trick does neither).
+    """
+    b = a if b is None else b
+    out = np.empty((a.shape[0], b.shape[0]))
+    rows = max(1, _DISTANCE_ENTRIES // max(1, b.size))
+    for start in range(0, a.shape[0], rows):
+        diff = a[start : start + rows, None, :] - b[None, :, :]
+        out[start : start + rows] = np.einsum("ijk,ijk->ij", diff, diff)
     return out
 
 
 def _gram(points: np.ndarray) -> np.ndarray:
-    """X X^T, exactly symmetric: the upper triangle mirrored onto the lower."""
-    return _mirror_upper(points @ points.T, keep_diagonal=True)
+    """X X^T by an elementwise einsum, not BLAS; exactly symmetric.
+
+    Its bits depend on the memory layout of `points`; Dataset keeps it C-contiguous.
+    """
+    return np.einsum("ik,jk->ij", points, points)
+
+
+# fdlibm's e_exp.c constants: ln 2 split in two, 1/ln 2, the polynomial for
+# exp on [-ln2/2, ln2/2], and the argument below which exp rounds to 0
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_INV_LN2 = 1.44269504088896338700e00
+_EXP_P = (1.66666666666666019037e-01, -2.77777777770155933842e-03, 6.61375632143793436117e-05,
+          -1.65339022054652515390e-06, 4.13813679705723846039e-08)
+_EXP_UNDERFLOW = -7.45133219101941108420e02
+
+
+def _rbf_weights(sq: np.ndarray, delta: float) -> np.ndarray:
+    """exp(-sq / (2 delta^2)) from IEEE basic operations only.
+
+    numpy's exp picks a SIMD kernel per CPU and the kernels round
+    differently.  Here x = k ln2 + r with |r| <= ln2 / 2, exp(r) comes from
+    a fixed polynomial and 2^k from ldexp, within 1 ulp of exp on every
+    CPU.  Arguments below the underflow threshold give exactly 0; NaN
+    passes through.
+    """
+    x = -sq / (2.0 * delta * delta)
+    keep = x >= _EXP_UNDERFLOW  # False for NaN and for underflow
+    x_kept = np.where(keep, x, 0.0)
+    k = np.rint(x_kept * _INV_LN2)
+    hi = x_kept - k * _LN2_HI
+    lo = k * _LN2_LO
+    r = hi - lo
+    t = r * r
+    p1, p2, p3, p4, p5 = _EXP_P
+    c = r - t * (p1 + t * (p2 + t * (p3 + t * (p4 + t * p5))))
+    y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi)
+    return np.where(keep, np.ldexp(y, k.astype(int)), np.where(np.isnan(x), x, 0.0))
 
 
 def _from_weights(w: np.ndarray) -> WeightedGraph:
@@ -92,9 +128,9 @@ def build_full_graph(d: Dataset, kernel: str = "rbf", delta: float | None = None
     if kernel == "rbf":
         if delta is None or delta <= 0:
             raise ValueError(f"rbf kernel needs positive delta, got {delta}")
-        w = np.exp(-_squared_distances(d.points) / (2.0 * delta * delta))
+        w = _rbf_weights(_squared_distances(d.points), delta)
         np.fill_diagonal(w, 0.0)
-        return _from_weights(_mirror_upper(w))
+        return _from_weights(w)
     if kernel == "shifted_dot":
         w = 2.0 + _gram(d.points)
         if w.min() <= 0.0:
@@ -125,9 +161,9 @@ def build_knn_graph(d: Dataset, k_neighbors: int, delta: float) -> WeightedGraph
         order = order[order != i]
         adjacency[i, order[:k_neighbors]] = True
     adjacency |= adjacency.T
-    w = np.where(adjacency, np.exp(-sq / (2.0 * delta * delta)), 0.0)
+    w = np.where(adjacency, _rbf_weights(sq, delta), 0.0)
     np.fill_diagonal(w, 0.0)
-    return _from_weights(_mirror_upper(w))
+    return _from_weights(w)
 
 
 def build_epsilon_graph(
@@ -144,10 +180,10 @@ def build_epsilon_graph(
     elif kernel == "rbf":
         if delta is None or delta <= 0:
             raise ValueError(f"rbf kernel needs positive delta, got {delta}")
-        w = np.where(adjacency, np.exp(-sq / (2.0 * delta * delta)), 0.0)
+        w = np.where(adjacency, _rbf_weights(sq, delta), 0.0)
     else:
         raise ValueError(f"unknown kernel {kernel!r} for epsilon graph (rbf | unit)")
-    return _from_weights(_mirror_upper(w))
+    return _from_weights(w)
 
 
 class _UnionFind:

@@ -1,12 +1,8 @@
-"""Graph Laplacians: unnormalized, symmetric, random-walk, and the PCA form.
+"""Graph Laplacians: unnormalized, symmetric, random-walk.
 
 L      = D - W
 L_sym  = D^{-1/2} L D^{-1/2}   (entrywise L_ij / sqrt(D_ii D_jj))
 L_rw   = D^{-1} L
-L_pca  = 2n I - 2 H - X X^T    (H the all-ones matrix; X standardized)
-
-L_pca is the unnormalized Laplacian of the fully connected graph with
-weights 2 + x_i.x_j, written without building that graph.
 """
 
 from __future__ import annotations
@@ -15,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .graph import WeightedGraph, _gram
+from .graph import WeightedGraph
 
-VARIANTS = ("unnormalized", "sym", "rw", "pca")
+VARIANTS = ("unnormalized", "sym", "rw")
 
 
 @dataclass(frozen=True)
@@ -68,31 +63,6 @@ def laplacian_rw(g: WeightedGraph) -> LaplacianMatrix:
     _require_positive_degrees(g)
     lap = (np.diag(g.degrees) - g.weights) / g.degrees[:, None]
     return LaplacianMatrix(lap, "rw", g.degrees)
-
-
-def laplacian_pca(d_standardized: Dataset) -> LaplacianMatrix:
-    """2n I - 2 H - X X^T for centered data scaled so |x_i.x_j| < 2.
-
-    Identical (entrywise, up to rounding) to laplacian_unnormalized of the
-    fully connected shifted-dot graph; the preconditions make that graph's
-    weights positive and all degrees exactly 2n.
-    """
-    x = d_standardized.points
-    n = d_standardized.n
-    col_means = np.abs(x.mean(axis=0))
-    if col_means.max() > 1e-10:
-        raise ValueError(
-            f"dataset is not centered: max |column mean| = {col_means.max():.3e}"
-        )
-    gram = _gram(x)
-    if np.abs(gram).max() >= 2.0:
-        raise ValueError(
-            f"max |x_i.x_j| = {np.abs(gram).max()} >= 2; scale the dataset "
-            "(scale_global with target 1) before building the PCA Laplacian"
-        )
-    lap = 2.0 * n * np.eye(n) - 2.0 - gram
-    degrees = (2.0 + gram).sum(axis=1)
-    return LaplacianMatrix(lap, "pca", degrees)
 
 
 def zero_eigenvalue_multiplicity(eigenvalues, tolerance: float = 1e-8) -> int:

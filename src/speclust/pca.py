@@ -6,7 +6,8 @@ vertex, and its Laplacian reduces to 2nI - 2H - G for the all-ones matrix H
 and Gram matrix G = X X^T.  Each non-constant Laplacian eigenpair (beta_t,
 u_t) then satisfies G u_t = (2n - beta_t) u_t, so the smallest k non-constant
 Laplacian eigenvectors and the top-k Gram eigenvectors span the same
-subspace.  `pca_equivalence_report` runs both routes and measures the
+subspace.  `pca_equivalence_report` runs both routes, the Laplacian one
+through the same graph and Laplacian code as `cluster`, and measures the
 agreement with principal angles, which stay well defined even when repeated
 eigenvalues make individual eigenvectors ambiguous.
 
@@ -22,8 +23,8 @@ import numpy as np
 
 from .data import Dataset, standardize
 from .eigen import EigenSystem, eig_symmetric
-from .graph import _gram
-from .laplacian import laplacian_pca
+from .graph import _gram, build_full_graph
+from .laplacian import laplacian_unnormalized
 
 
 @dataclass(frozen=True)
@@ -104,23 +105,21 @@ def pca_topk(d_centered: Dataset, k: int) -> PcaModel:
 def verify_shift_relation(es: EigenSystem, gram: np.ndarray) -> np.ndarray:
     """Residuals of G u_t = (2n - beta_t) u_t across the whole eigensystem.
 
-    `es` is the eigensystem of the PCA Laplacian (laplacian_pca) and `gram`
-    the Gram matrix X X^T of the same standardized data; nothing is solved
-    here.  Entry 0 covers the constant eigenvector, where the relation
-    degenerates to G u_0 = 0; entries 1..n-1 are the eigenvalue-shift
-    residuals.
+    `es` is the eigensystem of the unnormalized Laplacian of the
+    shifted-dot graph and `gram` the Gram matrix X X^T of the same
+    standardized data; nothing is solved here.  Entry 0 covers the constant
+    eigenvector, where the relation degenerates to G u_0 = 0; entries
+    1..n-1 are the eigenvalue-shift residuals, all from one einsum, not BLAS.
     """
     gram = np.asarray(gram, dtype=float)
     n = len(es.eigenvalues)
     if gram.shape != (n, n):
         raise ValueError(f"gram shape {gram.shape} does not match eigensystem size {n}")
-    residuals = np.empty(n)
-    residuals[0] = float(np.linalg.norm(gram @ es.eigenvectors[:, 0]))
-    for t in range(1, n):
-        u = es.eigenvectors[:, t]
-        shifted = 2.0 * n - es.eigenvalues[t]
-        residuals[t] = float(np.linalg.norm(gram @ u - shifted * u))
-    return residuals
+    u = es.eigenvectors
+    shift = 2.0 * n - es.eigenvalues
+    shift[0] = 0.0
+    r = np.einsum("ij,jt->it", gram, u) - u * shift
+    return np.sqrt((r * r).sum(axis=0))
 
 
 def subspace_principal_angles(a, b) -> np.ndarray:
@@ -140,16 +139,18 @@ def subspace_principal_angles(a, b) -> np.ndarray:
 def pca_equivalence_report(d: Dataset, k: int) -> EquivalenceReport:
     """Standardize, run both reduction routes, and measure their agreement.
 
-    Route A: pca-variant Laplacian, smallest k non-constant eigenvectors.
-    Route B: top-k Gram eigenvectors.  The two subspaces coincide exactly in
-    theory; max_angle reports how closely they do in floating point.
+    Route A: unnormalized Laplacian of the shifted-dot graph, the code
+    `cluster --graph full --kernel shifted_dot` runs; smallest k non-constant
+    eigenvectors.  Route B: top-k Gram eigenvectors.  The two subspaces
+    coincide exactly in theory; max_angle reports how closely they do in
+    floating point.
     """
     n, m = d.n, d.m
     cap = min(n - 1, m)
     if not 1 <= k <= cap:
         raise ValueError(f"k must be in [1, {cap}] = [1, min(n-1, m)], got {k}")
     std = standardize(d)
-    lap = laplacian_pca(std)
+    lap = laplacian_unnormalized(build_full_graph(std, kernel="shifted_dot"))
     es = eig_symmetric(lap.matrix)
     route_a = es.eigenvectors[:, 1 : k + 1]
 

@@ -4,7 +4,8 @@ Nothing here imports from speclust: the point is a second, dumber route to
 the same answers.  The eigensolver oracle is shifted power iteration with
 deflation; the Jacobi kernel reference is the element-by-element loop the
 vectorized kernel must reproduce bit for bit; the component oracle is
-breadth-first search over positive weights.
+breadth-first search over positive weights; the PCA Laplacian is the closed
+form of the shifted-dot graph's Laplacian, written without any graph.
 """
 
 from __future__ import annotations
@@ -129,6 +130,18 @@ def scalar_jacobi_sweeps(a, v, max_sweeps, rel_tol):
         for q in range(p + 1, n):
             off += 2.0 * a[p, q] * a[p, q]
     return sweeps, np.sqrt(off), threshold
+
+
+def pca_laplacian(x):
+    """2n I - 2 H - X X^T for standardized rows X (H the all-ones matrix).
+
+    With X centered and scaled so |x_i.x_j| < 2, the fully connected graph
+    with weights 2 + x_i.x_j has every degree exactly 2n, so its
+    unnormalized Laplacian D - W reduces to this.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    return 2.0 * n * np.eye(n) - 2.0 - x @ x.T
 
 
 def bfs_components(weights):

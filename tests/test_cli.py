@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -105,33 +106,148 @@ def _artifacts(out):
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
-def test_artifacts_independent_of_blas_threads(tmp_path):
-    # the README promises the same bytes at any thread count; each run is a
-    # fresh interpreter because OpenBLAS reads its thread count at import
+# cluster runs with both Laplacians its objective accepts, so the trace term
+# is compared on each
+DETERMINISM_COMMANDS = {
+    "cluster-sym": ["cluster", "--graph", "full", "--laplacian", "sym", "--delta", "2.0", "--k", "3"],
+    "cluster-unnormalized": ["cluster", "--graph", "full", "--delta", "2.0", "--k", "3"],
+    "pca-equiv": ["pca-equiv", "--k", "3"],
+    "eigen": ["eigen", "--graph", "full", "--delta", "2.0"],
+}
+
+# principal angles come from a k x k LAPACK SVD and arccos, which the
+# determinism contract leaves out
+ANGLE_FIELDS = ("principal_angles", "max_angle")
+
+# runs each given command through cli.main inside one interpreter
+_RUN_COMMANDS = (
+    "import json, sys\n"
+    "from speclust.cli import main\n"
+    "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n"
+)
+
+
+def _determinism_csv(tmp_path):
     rng = np.random.default_rng(12)
     centers = 3.0 * np.eye(3, 16)
     pts, _ = blobs(rng, [tuple(c) for c in centers], 24, 0.5)
     csv = tmp_path / "pts.csv"
     write_points_csv(csv, pts)
-    commands = {
-        "cluster": ["cluster", "--graph", "full", "--laplacian", "sym", "--delta", "2.0", "--k", "3"],
-        "pca-equiv": ["pca-equiv", "--k", "3"],
-        "eigen": ["eigen", "--graph", "full", "--delta", "2.0"],
-    }
+    return csv
+
+
+def _fresh_interpreter_artifacts(tmp_path, csv, tag, env_changes, names=tuple(DETERMINISM_COMMANDS)):
+    """Artifacts of the named commands, run in a new interpreter.
+
+    A new interpreter per environment because OpenBLAS and numpy read their
+    settings at import; a None value in env_changes unsets the variable.
+    """
+    env = dict(os.environ)
+    for key, value in env_changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     src = str(Path(speclust.__file__).resolve().parents[1])
-    for name, argv in commands.items():
-        runs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"{name}-{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            proc = subprocess.run(
-                [sys.executable, "-m", "speclust.cli", *argv, "--input", str(csv), "--out", str(out)],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            runs.append(_artifacts(out))
-        assert runs[0] and runs[0] == runs[1], name
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = {name: tmp_path / f"{name}-{tag}" for name in names}
+    argvs = [[*DETERMINISM_COMMANDS[name], "--input", str(csv), "--out", str(out)] for name, out in outs.items()]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name: _artifacts(out) for name, out in outs.items()}
+
+
+def _without_angles(files):
+    files = dict(files)
+    report = json.loads(files["report.json"])
+    files["report.json"] = {k: v for k, v in report.items() if k not in ANGLE_FIELDS}
+    files["report.txt"] = [
+        line for line in files["report.txt"].decode().splitlines()
+        if line.split(":")[0] not in ANGLE_FIELDS
+    ]
+    return files
+
+
+def _numpy_cpu_features():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+def test_artifacts_independent_of_blas_threads(tmp_path):
+    # the README promises the same bytes at any thread count
+    csv = _determinism_csv(tmp_path)
+    runs = [
+        _fresh_interpreter_artifacts(tmp_path, csv, threads, {"OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2")
+    ]
+    for name in DETERMINISM_COMMANDS:
+        assert runs[0][name] and runs[0][name] == runs[1][name], name
+
+
+def test_artifacts_independent_of_blas_kernels(tmp_path):
+    # OpenBLAS picks its kernels per CPU; OPENBLAS_CORETYPE forces another
+    # CPU's kernels, which shows what a run on that CPU would write
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
+    coretypes = [None, "Prescott", "Nehalem"]
+    features = _numpy_cpu_features()
+    if features.get("AVX2") and features.get("FMA3"):
+        coretypes.append("Haswell")
+    csv = _determinism_csv(tmp_path)
+    runs = [
+        _fresh_interpreter_artifacts(tmp_path, csv, str(coretype), {"OPENBLAS_CORETYPE": coretype})
+        for coretype in coretypes
+    ]
+    for name in DETERMINISM_COMMANDS:
+        strip = _without_angles if name == "pca-equiv" else dict
+        for coretype, run in zip(coretypes[1:], runs[1:]):
+            assert strip(run[name]) == strip(runs[0][name]), (name, coretype)
+
+
+def test_rbf_artifacts_independent_of_numpy_simd(tmp_path):
+    # numpy's AVX-512 exp rounds differently from its AVX2 one; RBF weights
+    # must not depend on which kernel the CPU gets
+    if not _numpy_cpu_features().get("X86_V4"):
+        pytest.skip("numpy dispatches no AVX-512 kernels on this CPU")
+    csv = _determinism_csv(tmp_path)
+    names = ("cluster-unnormalized", "eigen")
+    disabled = [None, "AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 AVX512_SKX X86_V3 AVX2 FMA3"]
+    runs = [
+        _fresh_interpreter_artifacts(tmp_path, csv, f"simd{i}", {"NPY_DISABLE_CPU_FEATURES": features}, names)
+        for i, features in enumerate(disabled)
+    ]
+    for name in names:
+        assert runs[0][name], name
+        for features, run in zip(disabled[1:], runs[1:]):
+            assert run[name] == runs[0][name], (name, features)
+
+
+@pytest.mark.parametrize(
+    "points, delta",
+    [
+        ([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "1e-300"),
+        ([[1e300, 0.0], [-1e300, 0.0], [0.0, 1e300]], "1e300"),
+    ],
+    ids=["duplicates-tiny-delta", "huge-points-huge-delta"],
+)
+def test_non_finite_weights_exit_1(tmp_path, capsys, points, delta):
+    # 0/0 and inf/inf make NaN weights; the error must say so, not blame symmetry
+    csv = tmp_path / "pts.csv"
+    write_points_csv(csv, np.array(points))
+    out = tmp_path / "out"
+    argv = ["cluster", "--input", str(csv), "--graph", "full", "--delta", delta,
+            "--k", "2", "--out", str(out)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rc = cli.main(argv)
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cluster_non_convergence_exits_2(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import speclust.graph
 from generators import random_weights
 from oracles import bfs_components
 from speclust import (
@@ -13,9 +15,10 @@ from speclust import (
     build_knn_graph,
     center_columns,
     connected_components,
+    pairwise_dissimilarity,
     scale_global,
 )
-from speclust.graph import _squared_distances
+from speclust.graph import _rbf_weights, _squared_distances
 
 
 def _dataset(points):
@@ -51,6 +54,26 @@ def test_rbf_weight_rejects_nonpositive_delta():
 
 def test_rbf_monotone_in_distance():
     assert _rbf_weight([0.0], [1.0], 2.0) > _rbf_weight([0.0], [1.5], 2.0)
+
+
+def _pinned_exp(x):
+    # with delta = 0.5 the weight is exp(-2 sq), and x = -2 (-x / 2) exactly
+    return _rbf_weights(-np.asarray(x, dtype=float) / 2.0, 0.5)
+
+
+def test_rbf_exp_within_one_ulp_of_math_exp():
+    x = np.linspace(-745.0, 0.0, 100_001)
+    want = np.array([math.exp(v) for v in x])
+    got = _pinned_exp(x)
+    # nonnegative doubles order like their bit patterns, so this counts ulps
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 1
+    assert _pinned_exp([0.0])[0] == 1.0
+
+
+def test_rbf_exp_underflows_to_zero_and_keeps_nan():
+    got = _pinned_exp([-745.2, -1e4, -np.inf, np.nan])
+    assert np.array_equal(got[:3], [0.0, 0.0, 0.0])
+    assert np.isnan(got[3])
 
 
 def test_full_graph_identical_points():
@@ -110,11 +133,27 @@ def test_knn_two_separated_triples():
 
 
 @pytest.mark.parametrize("m", [1, 3, 50])
-def test_squared_distances_blocks_match_one_pass(m):
-    # n spans several row blocks and ends in a partial one
+def test_squared_distances_blocks_match_one_pass(m, monkeypatch):
+    # blocks of 16 rows: n spans several and ends in a partial one
     pts = np.random.default_rng(26).normal(size=(37, m))
+    monkeypatch.setattr(speclust.graph, "_DISTANCE_ENTRIES", 16 * pts.size)
     diff = pts[:, None, :] - pts[None, :, :]
     assert np.array_equal(_squared_distances(pts), np.einsum("ijk,ijk->ij", diff, diff))
+
+
+@pytest.mark.parametrize("k", [1, 3, 40])
+def test_squared_distances_match_the_broadcast_expressions(k):
+    # the helper replaced these one-pass expressions in embedding and cluster
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 17, 300):
+        rows = rng.normal(size=(n, k))
+        diff = rows[:, None, :] - rows[None, :, :]
+        assert np.array_equal(pairwise_dissimilarity(rows), np.einsum("ijk,ijk->ij", diff, diff))
+        for c in (1, 3, 40):
+            centroids = rng.normal(size=(c, k))
+            diff = rows[:, None, :] - centroids[None, :, :]
+            expected = np.einsum("ikj,ikj->ik", diff, diff)
+            assert np.array_equal(_squared_distances(rows, centroids), expected)
 
 
 def test_knn_graph_memory_stays_below_the_pair_tensor():
@@ -189,15 +228,21 @@ def test_components_agree_with_bfs_oracle():
 
 
 def test_weights_exactly_symmetric_for_every_builder():
+    # no builder mirrors a triangle, so symmetry must come from the pair terms;
+    # n = 37 spans several distance blocks
     rng = np.random.default_rng(8)
-    d = _dataset(rng.normal(size=(10, 3)))
-    graphs = [
-        build_full_graph(d, kernel="rbf", delta=0.9),
-        build_knn_graph(d, 3, delta=0.9),
-        build_epsilon_graph(d, 1.2, kernel="rbf", delta=0.9),
-        build_full_graph(scale_global(center_columns(d), 1.0), kernel="shifted_dot"),
-    ]
+    graphs = []
+    for n, m, delta, eps in ((10, 3, 0.9, 1.2), (37, 50, 4.0, 10.0)):
+        d = _dataset(rng.normal(size=(n, m)))
+        graphs += [
+            build_full_graph(d, kernel="rbf", delta=delta),
+            build_knn_graph(d, 3, delta=delta),
+            build_epsilon_graph(d, eps, kernel="rbf", delta=delta),
+            build_epsilon_graph(d, eps, kernel="unit"),
+            build_full_graph(scale_global(center_columns(d), 1.0), kernel="shifted_dot"),
+        ]
     for g in graphs:
+        assert np.count_nonzero(g.weights) > 0
         assert np.array_equal(g.weights, g.weights.T)
         assert g.weights.min() >= 0.0
         assert np.all(np.isfinite(g.weights))

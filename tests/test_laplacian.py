@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from generators import connected_weights, random_weights
+from oracles import pca_laplacian
 from speclust import (
     Dataset,
     WeightedGraph,
     build_full_graph,
     center_columns,
     eig_symmetric,
-    laplacian_pca,
     laplacian_rw,
     laplacian_sym,
     laplacian_unnormalized,
@@ -91,42 +91,35 @@ def test_unnormalized_rows_sum_to_zero():
         assert np.abs(lap.matrix.sum(axis=1)).max() <= 1e-10
 
 
+def _shifted_dot_laplacian(d):
+    return laplacian_unnormalized(build_full_graph(d, kernel="shifted_dot"))
+
+
 def test_pca_laplacian_hand_example():
     d = Dataset(points=np.array([[1.0], [-1.0]]), column_names=None)
-    lap = laplacian_pca(d)
+    lap = _shifted_dot_laplacian(d)
     np.testing.assert_allclose(lap.matrix, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
-    assert lap.variant == "pca"
+    np.testing.assert_allclose(lap.matrix, pca_laplacian(d.points), atol=1e-15)
 
 
 def test_pca_laplacian_matches_graph_route():
     rng = np.random.default_rng(11)
     for _ in range(10):
         d = standardize(Dataset(points=rng.normal(size=(8, 3)), column_names=None))
-        direct = laplacian_pca(d)
-        via_graph = laplacian_unnormalized(build_full_graph(d, kernel="shifted_dot"))
-        assert np.abs(direct.matrix - via_graph.matrix).max() <= 1e-10
+        via_graph = _shifted_dot_laplacian(d)
+        assert np.abs(pca_laplacian(d.points) - via_graph.matrix).max() <= 1e-10
 
 
 def test_pca_laplacian_annihilates_constant_vector():
     rng = np.random.default_rng(12)
     d = standardize(Dataset(points=rng.normal(size=(7, 2)), column_names=None))
+    lap = _shifted_dot_laplacian(d)
     ones = np.ones(7)
-    assert np.abs(laplacian_pca(d).matrix @ ones).max() <= 1e-9
-    es = eig_symmetric(laplacian_pca(d).matrix)
+    assert np.abs(lap.matrix @ ones).max() <= 1e-9
+    assert np.abs(pca_laplacian(d.points) @ ones).max() <= 1e-9
+    es = eig_symmetric(lap.matrix)
     assert abs(es.eigenvalues[0]) <= 1e-9
     np.testing.assert_allclose(np.abs(es.eigenvectors[:, 0]), 1.0 / np.sqrt(7.0), atol=1e-9)
-
-
-def test_pca_laplacian_rejects_uncentered():
-    d = Dataset(points=np.array([[1.0], [2.0]]), column_names=None)
-    with pytest.raises(ValueError, match="not centered"):
-        laplacian_pca(d)
-
-
-def test_pca_laplacian_rejects_large_dot_products():
-    d = Dataset(points=np.array([[2.0], [-2.0]]), column_names=None)
-    with pytest.raises(ValueError):
-        laplacian_pca(d)
 
 
 def test_laplacians_positive_semidefinite():

@@ -3,9 +3,10 @@ import pytest
 
 import speclust.pca
 from speclust import (
+    build_full_graph,
     center_columns,
     eig_symmetric,
-    laplacian_pca,
+    laplacian_unnormalized,
     load_csv,
     pca_equivalence_report,
     pca_topk,
@@ -80,7 +81,7 @@ def test_model_invariants_enforced():
 
 def test_shift_relation_two_point_hand_example():
     d = standardize(_dataset([[1.0, 0.0], [-1.0, 0.0]]))
-    lap = laplacian_pca(d)
+    lap = laplacian_unnormalized(build_full_graph(d, kernel="shifted_dot"))
     gram = d.points @ d.points.T
     residuals = verify_shift_relation(eig_symmetric(lap.matrix), gram)
     assert residuals.shape == (2,)
@@ -92,7 +93,7 @@ def test_shift_relation_two_point_hand_example():
 def test_shift_relation_random():
     rng = np.random.default_rng(52)
     d = standardize(_dataset(rng.normal(size=(7, 2))))
-    lap = laplacian_pca(d)
+    lap = laplacian_unnormalized(build_full_graph(d, kernel="shifted_dot"))
     gram = d.points @ d.points.T
     residuals = verify_shift_relation(eig_symmetric(lap.matrix), gram)
     n = 7
