@@ -47,7 +47,6 @@ from .pca import (
     verify_shift_relation,
     write_equivalence_report,
 )
-from .cli import PipelineConfig, run_cluster, run_eigen_report, run_pca_equiv
 
 __all__ = [
     "ClusterResult",
@@ -62,7 +61,6 @@ __all__ = [
     "Lcg64",
     "ObjectiveReport",
     "PcaModel",
-    "PipelineConfig",
     "WeightedGraph",
     "adjusted_rand_index",
     "align_labels",
@@ -87,9 +85,6 @@ __all__ = [
     "pairwise_dissimilarity",
     "pca_equivalence_report",
     "pca_topk",
-    "run_cluster",
-    "run_eigen_report",
-    "run_pca_equiv",
     "scale_global",
     "standardize",
     "subspace_principal_angles",

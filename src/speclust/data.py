@@ -96,6 +96,11 @@ def load_csv(path, has_header: bool = False, delimiter: str = ",") -> Dataset:
                     f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}"
                 ) from None
 
+    bad = np.argwhere(~np.isfinite(parsed))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: non-finite cell at row {i + 1}, column {j + 1}: {rows[i][j]!r}")
+
     return Dataset(parsed, column_names)
 
 
@@ -127,10 +132,15 @@ def scale_global(d: Dataset, target_max_row_norm: float) -> Dataset:
     """
     if target_max_row_norm <= 0:
         raise ValueError(f"target_max_row_norm must be positive, got {target_max_row_norm}")
-    max_norm = np.sqrt((d.points**2).sum(axis=1).max())
-    if max_norm == 0.0:
+    largest = np.abs(d.points).max()
+    if largest == 0.0:
         raise ValueError("all-zero dataset: global scaling is undefined")
-    return Dataset(d.points * (target_max_row_norm / max_norm), d.column_names)
+    # bring the largest entry into [0.5, 1) first, so the squares below can
+    # neither overflow nor underflow; a power of two scales exactly, which
+    # leaves the result's bits unchanged wherever the squares were safe
+    points = np.ldexp(d.points, -np.frexp(largest)[1])
+    max_norm = np.sqrt((points**2).sum(axis=1).max())
+    return Dataset(points * (target_max_row_norm / max_norm), d.column_names)
 
 
 def standardize(d: Dataset) -> Dataset:

@@ -2,10 +2,11 @@
 
 Nothing here imports from speclust: the point is a second, dumber route to
 the same answers.  The eigensolver oracle is shifted power iteration with
-deflation; the Jacobi kernel reference is the element-by-element loop the
-vectorized kernel must reproduce bit for bit; the component oracle is
-breadth-first search over positive weights; the PCA Laplacian is the closed
-form of the shifted-dot graph's Laplacian, written without any graph.
+deflation; the Jacobi kernel reference is the element-by-element loop of
+the round-robin schedule that the vectorized kernel must reproduce bit for
+bit; the component oracle is breadth-first search over positive weights;
+the PCA Laplacian is the closed form of the shifted-dot graph's Laplacian,
+written without any graph.
 """
 
 from __future__ import annotations
@@ -57,79 +58,111 @@ def power_eigensystem(a, residual_tol=1e-11, max_mults=200_000):
     return lam, vec
 
 
-def scalar_jacobi_sweeps(a, v, max_sweeps, rel_tol):
-    """Run cyclic Jacobi sweeps in place on `a`, accumulating rotations in `v`.
+def round_robin_rounds(n):
+    """The rounds of one Jacobi sweep over n indices, as lists of (p, q), p < q.
 
-    The scalar reference for speclust's vectorized kernel: same (p, q) order,
-    same per-element arithmetic, one element at a time, so the two must agree
-    bit for bit.
-
-    Returns (sweeps_used, final_offdiag_norm, threshold).  `a` ends diagonal
-    up to the threshold; its diagonal holds the eigenvalues, the columns of
-    `v` the eigenvectors.
+    Circle method: index 0 stays put and the others move one place per
+    round.  An odd n gets a dummy index n, and the pair holding it is
+    dropped, so there are n - 1 rounds for even n and n for odd n.
     """
-    n = a.shape[0]
-    frob = 0.0
+    m = n + n % 2
+    rounds = []
+    others = list(range(1, m))
+    for r in range(m - 1):
+        cut = len(others) - r
+        ring = [0] + others[cut:] + others[:cut]
+        pairs = [tuple(sorted((ring[k], ring[m - 1 - k]))) for k in range(m // 2)]
+        rounds.append([(p, q) for p, q in pairs if q < n])
+    return rounds
+
+
+def _sum_of_squares(a, n, weight, upper_only):
+    total = 0.0
     for i in range(n):
+        for j in range(i + 1 if upper_only else 0, n):
+            total += weight * a[i, j] * a[i, j]
+    return total
+
+
+def _scalar_round(a, v, n, pairs):
+    # every pair reads its entries as they stood at the start of the round
+    rotations = []
+    for p, q in pairs:
+        apq = a[p, q]
+        if apq == 0.0:
+            continue
+        app = a[p, p]
+        aqq = a[q, q]
+        tiny = 100.0 * abs(apq)
+        if abs(app) + tiny == abs(app) and abs(aqq) + tiny == abs(aqq):
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            continue
+        tau = (aqq - app) / (2.0 * apq)
+        if tau >= 0.0:
+            t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+        else:
+            t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        rotations.append((p, q, app, aqq, apq, t, c, t * c))
+    for p, q, _, _, _, _, c, s in rotations:  # rows
         for j in range(n):
-            frob += a[i, j] * a[i, j]
-    threshold = rel_tol * np.sqrt(frob)
+            apj = a[p, j]
+            aqj = a[q, j]
+            a[p, j] = apj * c - aqj * s
+            a[q, j] = aqj * c + apj * s
+    for p, q, _, _, _, _, c, s in rotations:  # then columns
+        for i in range(n):
+            aip = a[i, p]
+            aiq = a[i, q]
+            a[i, p] = aip * c - aiq * s
+            a[i, q] = aiq * c + aip * s
+            vip = v[i, p]
+            viq = v[i, q]
+            v[i, p] = vip * c - viq * s
+            v[i, q] = viq * c + vip * s
+    for p, q, app, aqq, apq, t, _, _ in rotations:
+        a[p, p] = app - t * apq
+        a[q, q] = aqq + t * apq
+        a[p, q] = 0.0
+        a[q, p] = 0.0
+    for i in range(n):  # mirror the upper triangle onto the lower one
+        for j in range(i):
+            a[i, j] = a[j, i]
 
-    sweeps = 0
-    off = 0.0
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * a[p, q] * a[p, q]
-        off = np.sqrt(off)
-        if off <= threshold:
-            return sweeps, off, threshold
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                # entries that can no longer affect the diagonal at working
-                # precision are dropped outright (standard Jacobi guard)
-                tiny = 100.0 * abs(apq)
-                if abs(app) + tiny == abs(app) and abs(aqq) + tiny == abs(aqq):
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                for i in range(n):
-                    if i != p and i != q:
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = aip * c - aiq * s
-                        a[p, i] = a[i, p]
-                        a[i, q] = aiq * c + aip * s
-                        a[q, i] = a[i, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for i in range(n):
-                    vip = v[i, p]
-                    viq = v[i, q]
-                    v[i, p] = vip * c - viq * s
-                    v[i, q] = viq * c + vip * s
-        sweeps += 1
 
-    off = 0.0
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            off += 2.0 * a[p, q] * a[p, q]
-    return sweeps, np.sqrt(off), threshold
+def scalar_jacobi_sweeps(a, v, max_sweeps, rel_tol):
+    """Round-robin Jacobi on a (b, n, n) stack of blocks, one element at a time.
+
+    The scalar reference for speclust's vectorized kernel: same rounds, same
+    per-element arithmetic, so the two must agree bit for bit.  Each round
+    applies its rotations together, rows first and then columns, resets the
+    rotated diagonal and pair entries, and copies the upper triangle onto
+    the lower one.  Each block runs on its own until its off-diagonal norm
+    is <= rel_tol * its Frobenius norm, or until `max_sweeps`.
+
+    Works in place on `a` and on `v`, the stack of rotation accumulators.
+    Returns (most sweeps any block used, per-block off-norms, per-block
+    thresholds).
+    """
+    b, n, _ = a.shape
+    rounds = round_robin_rounds(n)
+    most, offs, thresholds = 0, [], []
+    for blk in range(b):
+        x, y = a[blk], v[blk]
+        threshold = rel_tol * np.sqrt(_sum_of_squares(x, n, 1.0, upper_only=False))
+        sweeps = 0
+        while True:
+            off = np.sqrt(_sum_of_squares(x, n, 2.0, upper_only=True))
+            if off <= threshold or sweeps == max_sweeps:
+                break
+            for pairs in rounds:
+                _scalar_round(x, y, n, pairs)
+            sweeps += 1
+        most = max(most, sweeps)
+        offs.append(off)
+        thresholds.append(threshold)
+    return most, np.array(offs), np.array(thresholds)
 
 
 def pca_laplacian(x):

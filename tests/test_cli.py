@@ -283,6 +283,18 @@ def test_pca_equiv_random_data(tmp_path, capsys):
     assert report["degenerate_spectrum"] is False
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_pca_equiv_near_the_double_range(tmp_path, scale):
+    csv = tmp_path / "pts.csv"
+    write_points_csv(csv, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]) * scale)
+    out = tmp_path / "out"
+    rc = cli.main(["pca-equiv", "--input", str(csv), "--k", "1", "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["degenerate_spectrum"] is False
+    assert report["max_angle"] <= 1e-6
+
+
 def test_pca_equiv_rank_one_degenerate(tmp_path):
     base = np.linspace(-1.0, 1.0, 6)[:, None]
     csv = tmp_path / "rank1.csv"
@@ -460,6 +472,18 @@ def test_help_exits_0():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(speclust.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "speclust.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,14 @@ def test_load_csv_rejects_non_finite(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_load_csv_reports_non_finite_cell_position(tmp_path, cell):
+    path = _write(tmp_path / "a.csv", f"1,2\n3,{cell}\n")
+    with pytest.raises(ValueError) as exc:
+        load_csv(path)
+    assert str(exc.value) == f"{path}: non-finite cell at row 2, column 2: {cell!r}"
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_csv(str(tmp_path / "absent.csv"))
@@ -115,6 +123,14 @@ def test_scale_global_rejects_all_zero():
     d = Dataset(points=np.zeros((3, 2)), column_names=None)
     with pytest.raises(ValueError):
         scale_global(d, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_scale_global_near_the_double_range(scale):
+    # squaring these entries overflows or underflows; the scaled rows must not
+    d = Dataset(points=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]) * scale)
+    out = scale_global(d, 1.0)
+    np.testing.assert_allclose(out.points, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
 
 def test_scale_global_preserves_directions_and_singular_ratios():

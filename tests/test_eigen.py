@@ -3,7 +3,7 @@ import pytest
 
 import speclust.eigen
 from generators import connected_weights, multi_component_weights, random_symmetric
-from oracles import power_eigensystem, scalar_jacobi_sweeps
+from oracles import power_eigensystem, round_robin_rounds, scalar_jacobi_sweeps
 from speclust import (
     ConvergenceError,
     WeightedGraph,
@@ -177,52 +177,140 @@ def test_eig_rw_rejects_wrong_variant():
 
 
 # a[0, 1] = 1 cannot move the 1e20 diagonal at working precision, so the
-# tiny guard drops it; a[1, 2] keeps the off-norm above the threshold, so the
-# sweep reaches that guard at all
-_TINY_GUARD = np.array([[1e20, 1.0, 0.0], [1.0, 1e20, 1e10], [0.0, 1e10, 1.0]])
+# tiny guard drops it; a[2, 3] keeps the off-norm above the threshold, so the
+# sweep reaches that guard at all (pair (0, 1) comes in the last round)
+_TINY_GUARD = np.array([
+    [1e20, 1.0, 0.0, 0.0],
+    [1.0, 1e20, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 1e10],
+    [0.0, 0.0, 1e10, 1.0],
+])
+
+
+def _nearly_diagonal(rng, n):
+    return np.diag(np.arange(1.0, n + 1.0)) + random_symmetric(rng, n, scale=1e-4)
 
 
 def _kernel_corpus():
     rng = np.random.default_rng(23)
     corpus = [
-        pytest.param(random_symmetric(rng, n, scale=float(rng.uniform(0.1, 10.0))),
+        pytest.param(random_symmetric(rng, n, scale=float(rng.uniform(0.1, 10.0)))[None],
                      id=f"random-n{n}-{r}")
         for n in range(1, 13)
         for r in range(3)
     ]
-    corpus += [pytest.param(np.zeros((n, n)), id=f"zero-n{n}") for n in (1, 2, 5)]
-    corpus += [pytest.param(np.eye(n), id=f"identity-n{n}") for n in (1, 2, 5)]
+    corpus += [pytest.param(np.zeros((1, n, n)), id=f"zero-n{n}") for n in (1, 2, 5)]
+    corpus += [pytest.param(np.eye(n)[None], id=f"identity-n{n}") for n in (1, 2, 5)]
     # three components: the exact zeros between them take the apq == 0 skip
     weights, _ = multi_component_weights(rng, 10, 3)
-    corpus.append(pytest.param(laplacian_unnormalized(_graph(weights)).matrix,
+    corpus.append(pytest.param(laplacian_unnormalized(_graph(weights)).matrix[None],
                                id="components-laplacian"))
-    corpus.append(pytest.param(_TINY_GUARD, id="tiny-guard"))
-    corpus.append(pytest.param(np.array([[1.0, 0.5], [0.5, 2.0]]), id="tau-positive"))
-    corpus.append(pytest.param(np.array([[2.0, 0.5], [0.5, 1.0]]), id="tau-negative"))
+    corpus.append(pytest.param(_TINY_GUARD[None], id="tiny-guard"))
+    corpus.append(pytest.param(np.array([[[1.0, 0.5], [0.5, 2.0]]]), id="tau-positive"))
+    corpus.append(pytest.param(np.array([[[2.0, 0.5], [0.5, 1.0]]]), id="tau-negative"))
+    # stacks whose blocks stop after different sweep counts: an identity block
+    # before the first sweep, a nearly diagonal one before the random ones
+    for r in range(6):
+        b, n = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+        stack = np.stack([random_symmetric(rng, n, scale=float(10.0 ** rng.uniform(-3, 3)))
+                          for _ in range(b)])
+        stack[0] = np.eye(n)
+        stack[-1] = _nearly_diagonal(rng, n)
+        corpus.append(pytest.param(stack, id=f"stack-b{b}-n{n}-{r}"))
     return corpus
 
 
 @pytest.mark.parametrize("max_sweeps", [speclust.eigen.MAX_SWEEPS, 1, 0])
-@pytest.mark.parametrize("mat", _kernel_corpus())
-def test_kernel_matches_scalar_reference_bit_for_bit(mat, max_sweeps):
-    n = mat.shape[0]
-    a, ref_a = mat.copy(), mat.copy()
-    v, ref_v = np.eye(n), np.eye(n)
-    got = speclust.eigen._jacobi_sweeps(a, v, max_sweeps, speclust.eigen.OFFDIAG_REL_TOL)
-    want = scalar_jacobi_sweeps(ref_a, ref_v, max_sweeps, speclust.eigen.OFFDIAG_REL_TOL)
-    assert np.array_equal(a, ref_a)
-    assert np.array_equal(v, ref_v)
-    assert got == want
+@pytest.mark.parametrize("stack", _kernel_corpus())
+def test_kernel_matches_scalar_reference_bit_for_bit(stack, max_sweeps):
+    n = stack.shape[1]
+    a, ref_a = stack.copy(), stack.copy()
+    v = np.broadcast_to(np.eye(n), stack.shape).copy()
+    ref_v = v.copy()
+    sweeps, off, threshold = speclust.eigen._jacobi_sweeps(
+        a, v, max_sweeps, speclust.eigen.OFFDIAG_REL_TOL)
+    ref_sweeps, ref_off, ref_threshold = scalar_jacobi_sweeps(
+        ref_a, ref_v, max_sweeps, speclust.eigen.OFFDIAG_REL_TOL)
+    assert a.tobytes() == ref_a.tobytes()  # signed zeros too
+    assert v.tobytes() == ref_v.tobytes()
+    assert type(sweeps) is int and sweeps == ref_sweeps
+    assert off.tobytes() == ref_off.tobytes() and threshold.tobytes() == ref_threshold.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_round_robin_meets_every_pair_once_per_sweep(n):
+    p, q = speclust.eigen._round_robin(n)
+    rounds = round_robin_rounds(n)
+    assert [list(zip(rp.tolist(), rq.tolist())) for rp, rq in zip(p, q)] == rounds
+    pairs = [pair for pairs in rounds for pair in pairs]
+    assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for pairs in rounds:
+        touched = [i for pair in pairs for i in pair]
+        assert len(touched) == len(set(touched))
 
 
 def test_tiny_guard_drops_the_pair_without_rotating():
-    a = _TINY_GUARD.copy()
-    v = np.eye(3)
+    a = _TINY_GUARD[None].copy()
+    v = np.eye(4)[None].copy()
     sweeps, off, threshold = speclust.eigen._jacobi_sweeps(a, v, 100, 1e-12)
-    assert sweeps >= 1 and off <= threshold
-    assert a[0, 1] == 0.0 and a[1, 0] == 0.0
+    assert sweeps == 1 and off[0] <= threshold[0]
+    assert a[0, 0, 1] == 0.0 and a[0, 1, 0] == 0.0
     # a (0, 1) rotation at tau = 0 would have mixed columns 0 and 1 at 45 degrees
-    np.testing.assert_array_equal(v[:, 0], [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(v[0, :, :2], np.eye(4)[:, :2])
+
+
+def _block_diagonal():
+    """Blocks of size 1, 2, 5, 5 and 9 on interleaved, permuted indices."""
+    rng = np.random.default_rng(25)
+    labels = rng.permutation(np.repeat(np.arange(5), [1, 2, 5, 5, 9]))
+    members = [np.flatnonzero(labels == k) for k in range(5)]
+    mat = np.zeros((len(labels), len(labels)))
+    for idx in members:
+        # random normal entries are nonzero, so each block is connected
+        mat[np.ix_(idx, idx)] = random_symmetric(rng, len(idx), scale=float(rng.uniform(0.5, 3.0)))
+    # one size-5 block nearly diagonal: it stops sweeping before its stack mate
+    mat[np.ix_(members[3], members[3])] = _nearly_diagonal(rng, 5)
+    return mat, members
+
+
+def test_block_split_finds_the_blocks_grouped_by_size():
+    mat, members = _block_diagonal()
+    groups = speclust.eigen._connected_blocks(mat)
+    assert [g.shape for g in groups] == [(1, 1), (1, 2), (2, 5), (1, 9)]
+    found = sorted(tuple(row) for g in groups for row in g.tolist())
+    assert found == sorted(tuple(m.tolist()) for m in members)
+
+
+def test_block_split_eigensystem():
+    mat, members = _block_diagonal()
+    es = eig_symmetric(mat)
+    np.testing.assert_allclose(es.eigenvalues, np.linalg.eigvalsh(mat), rtol=0, atol=1e-12)
+    # every eigenvector lives on one component
+    owner = np.empty(len(mat), dtype=int)
+    for k, idx in enumerate(members):
+        owner[idx] = k
+    support = [set(owner[np.flatnonzero(es.eigenvectors[:, t])]) for t in range(len(mat))]
+    assert all(len(s) == 1 for s in support)
+    # and its bits are those of the block solved alone
+    for k, idx in enumerate(members):
+        alone = eig_symmetric(mat[np.ix_(idx, idx)])
+        cols = [t for t in range(len(mat)) if support[t] == {k}]
+        assert es.eigenvalues[cols].tobytes() == alone.eigenvalues.tobytes()
+        assert es.eigenvectors[np.ix_(idx, cols)].tobytes() == alone.eigenvectors.tobytes()
+
+
+def test_block_bits_do_not_depend_on_the_rest_of_the_stack():
+    mat, members = _block_diagonal()
+    fives = np.stack([mat[np.ix_(idx, idx)] for idx in members if len(idx) == 5])
+    a, v = fives.copy(), np.broadcast_to(np.eye(5), fives.shape).copy()
+    speclust.eigen._jacobi_sweeps(a, v, 100, 1e-12)
+    sweeps = [speclust.eigen._jacobi_sweeps(f[None].copy(), np.eye(5)[None].copy(), 100, 1e-12)[0]
+              for f in fives]
+    assert sweeps[0] != sweeps[1]
+    for k in range(2):
+        alone_a, alone_v = fives[k : k + 1].copy(), np.eye(5)[None].copy()
+        speclust.eigen._jacobi_sweeps(alone_a, alone_v, 100, 1e-12)
+        assert a[k].tobytes() == alone_a[0].tobytes() and v[k].tobytes() == alone_v[0].tobytes()
 
 
 def test_non_convergence_raises(monkeypatch):
