@@ -41,7 +41,8 @@ residuals = verify_shift_relation(es, gram)
 print(f"shift-relation residuals: max {residuals.max():.2e}")
 
 # route A: smallest non-constant Laplacian eigenvectors
-# route B: top Gram eigenvectors (classical PCA in dual form)
+# route B: classical PCA, the top eigenvectors v of the 3x3 scatter matrix
+# X^T X, mapped to the top Gram eigenvectors u = X v / |X v|
 report = pca_equivalence_report(Dataset(points=raw.copy()), k=2)
 print(f"principal angles between the two routes at k=2: "
       f"{np.array2string(report.principal_angles, precision=2)}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import EigenSystem
+from .eigen import OFFDIAG_REL_TOL, EigenSystem
 from .graph import ComponentLabeling, WeightedGraph, _squared_distances
 from .laplacian import LaplacianMatrix, zero_eigenvalue_multiplicity
 
@@ -43,15 +43,6 @@ class Embedding:
         n, k = self.coordinates.shape
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k} with n={n}")
-        if self.variant == "nonconstant":
-            # columns skip the constant eigenvector, so each must sum to 0
-            worst = float(np.abs(self.coordinates.sum(axis=0)).max())
-            if worst > 1e-8:
-                raise ValueError(
-                    f"nonconstant embedding columns must sum to 0, worst sum {worst:.3e}; "
-                    "a near-zero Fiedler eigenvalue usually means the graph is "
-                    "effectively disconnected at working precision"
-                )
         self.coordinates.setflags(write=False)
         self.source_eigenvalues.setflags(write=False)
 
@@ -101,6 +92,23 @@ def _check_k(k: int, upper: int, what: str) -> None:
         raise ValueError(f"k must be in [1, {upper}] for {what}, got {k}")
 
 
+def _column_sum_bound(eigenvalues: np.ndarray) -> float:
+    """Largest column sum the solver's accuracy allows past the constant vector.
+
+    The solver stops at an off-diagonal norm of at most
+    tau = OFFDIAG_REL_TOL * ||L||_F, so its eigenvectors are exact for a
+    matrix within tau of L, whose eigenvalues are within tau of L's.  By
+    Davis-Kahan (SIAM J. Numer. Anal. 7, 1970) the computed u_0 is then
+    within an angle of tau / (gap - tau) <= 2 tau / gap of the constant
+    vector 1/sqrt(n), where gap = lambda_1 - lambda_0 >= 2 tau; each column
+    orthogonal to u_0 sums to at most sqrt(n) times that.  Below 2 tau the
+    bound exceeds sqrt(n), which no unit column's sum can.
+    """
+    n = len(eigenvalues)
+    tau = OFFDIAG_REL_TOL * np.sqrt((eigenvalues * eigenvalues).sum())
+    return float(2.0 * np.sqrt(n) * tau / (eigenvalues[1] - eigenvalues[0]))
+
+
 def embed_nonconstant(
     es: EigenSystem, k: int, tolerance: float = 1e-8, variant: str = "nonconstant"
 ) -> Embedding:
@@ -121,7 +129,19 @@ def embed_nonconstant(
             "connected. Use embed_classical with k = component count to read "
             "off the component indicators."
         )
-    return Embedding(es.eigenvectors[:, 1 : k + 1].copy(), variant, es.eigenvalues[1 : k + 1].copy())
+    coords = es.eigenvectors[:, 1 : k + 1].copy()
+    if variant == "nonconstant":
+        # the columns skip the constant eigenvector, so each must sum to 0
+        # within what the solver guarantees at this spectral gap
+        worst = float(np.abs(coords.sum(axis=0)).max())
+        bound = _column_sum_bound(es.eigenvalues)
+        if worst > bound:
+            raise ValueError(
+                f"nonconstant embedding columns must sum to 0, worst sum {worst:.3e} "
+                f"exceeds the solver's bound {bound:.3e} at gap "
+                f"{es.eigenvalues[1] - es.eigenvalues[0]:.3e}"
+            )
+    return Embedding(coords, variant, es.eigenvalues[1 : k + 1].copy())
 
 
 def embed_classical(es: EigenSystem, k: int) -> Embedding:

@@ -1,4 +1,4 @@
-"""Gram-matrix PCA and the spectral/PCA equivalence verifier.
+"""Classical PCA and the spectral/PCA equivalence verifier.
 
 After standardization (zero column means, global scaling so every row norm
 is at most 1), the shifted-dot-product graph has degree exactly 2n at every
@@ -11,8 +11,13 @@ through the same graph and Laplacian code as `cluster`, and measures the
 agreement with principal angles, which stay well defined even when repeated
 eigenvalues make individual eigenvectors ambiguous.
 
-PCA here is sample-space PCA: eigenvectors of G, not feature-space loadings.
-The dual (feature-space) route is exercised in tests as an oracle.
+PCA here is sample-space PCA: the top-k eigenvectors of G, the principal
+component scores normalized to unit length.  G has rank at most m, so for
+m < n `pca_topk` solves the m x m scatter matrix X^T X instead and maps its
+top eigenvectors v_t to u_t = X v_t (the snapshot or dual identity,
+Sirovich, Q. Appl. Math. 45, 1987); the n x n Gram matrix is solved only
+when it is the smaller of the two.  tests/oracles.py checks both branches
+against LAPACK on G.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ class PcaModel:
 
     components: np.ndarray
     eigenvalues: np.ndarray
-    gram: np.ndarray
 
     def __post_init__(self):
         lam = self.eigenvalues
@@ -47,7 +51,6 @@ class PcaModel:
             raise ValueError(f"components must be orthonormal, worst deviation {float(gram_err.max()):.3e}")
         self.components.setflags(write=False)
         self.eigenvalues.setflags(write=False)
-        self.gram.setflags(write=False)
 
     @property
     def k(self) -> int:
@@ -81,7 +84,13 @@ class EquivalenceReport:
 
 
 def pca_topk(d_centered: Dataset, k: int) -> PcaModel:
-    """Top-k eigenvectors of the Gram matrix of centered data."""
+    """Top-k eigenvectors of the Gram matrix of centered data.
+
+    Solves whichever of X^T X (m x m) and X X^T (n x n) is smaller.  On the
+    scatter route the mapped vectors X v_t are orthonormalized by a thin QR:
+    the solver's tolerance leaves them orthogonal only to about 1e-12, and
+    where X v_t vanishes (rank-deficient X) the QR completes the basis.
+    """
     n, m = d_centered.n, d_centered.m
     cap = min(n - 1, m)
     if not 1 <= k <= cap:
@@ -92,14 +101,14 @@ def pca_topk(d_centered: Dataset, k: int) -> PcaModel:
             f"input must have zero column means, worst mean {worst_mean:.3e}; "
             "apply center_columns first"
         )
-    gram = _gram(d_centered.points)
-    es = eig_symmetric(gram)
-    order = slice(n - 1, n - 1 - k, -1)  # top-k, descending
-    return PcaModel(
-        np.ascontiguousarray(es.eigenvectors[:, order]),
-        np.ascontiguousarray(es.eigenvalues[order]),
-        gram,
-    )
+    x = d_centered.points
+    if m >= n:
+        es = eig_symmetric(_gram(x))
+        components = es.eigenvectors[:, ::-1][:, :k]
+    else:
+        es = eig_symmetric(np.einsum("ki,kj->ij", x, x))
+        components = np.linalg.qr(x @ es.eigenvectors[:, ::-1][:, :k])[0]
+    return PcaModel(np.ascontiguousarray(components), np.ascontiguousarray(es.eigenvalues[::-1][:k]))
 
 
 def verify_shift_relation(es: EigenSystem, gram: np.ndarray) -> np.ndarray:
@@ -123,7 +132,12 @@ def verify_shift_relation(es: EigenSystem, gram: np.ndarray) -> np.ndarray:
 
 
 def subspace_principal_angles(a, b) -> np.ndarray:
-    """Principal angles between the column spans of two orthonormal bases."""
+    """Principal angles between the column spans of two orthonormal bases.
+
+    Both bases are re-orthonormalized by a thin QR before the SVD: a basis
+    that is off orthonormal by delta would otherwise inflate the angles by
+    up to sqrt(2 delta).
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -132,6 +146,7 @@ def subspace_principal_angles(a, b) -> np.ndarray:
         dev = float(np.abs(mat.T @ mat - np.eye(mat.shape[1])).max())
         if dev > 1e-8:
             raise ValueError(f"columns of {name} are not orthonormal (deviation {dev:.3e})")
+    a, b = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
     sigma = np.linalg.svd(a.T @ b, compute_uv=False)
     return np.sort(np.arccos(np.clip(sigma, 0.0, 1.0)))
 
@@ -141,7 +156,9 @@ def pca_equivalence_report(d: Dataset, k: int) -> EquivalenceReport:
 
     Route A: unnormalized Laplacian of the shifted-dot graph, the code
     `cluster --graph full --kernel shifted_dot` runs; smallest k non-constant
-    eigenvectors.  Route B: top-k Gram eigenvectors.  The two subspaces
+    eigenvectors.  Route B: top-k principal directions from `pca_topk`.  The
+    shift relation is checked on the Gram matrix of the standardized data,
+    formed once here; no third eigensystem is solved.  The two subspaces
     coincide exactly in theory; max_angle reports how closely they do in
     floating point.
     """
@@ -156,7 +173,7 @@ def pca_equivalence_report(d: Dataset, k: int) -> EquivalenceReport:
 
     model = pca_topk(std, k)
     angles = subspace_principal_angles(route_a, model.components)
-    residuals = verify_shift_relation(es, model.gram)
+    residuals = verify_shift_relation(es, _gram(std.points))
 
     beta = es.eigenvalues
     if k <= n - 2:

@@ -6,7 +6,8 @@ deflation; the Jacobi kernel reference is the element-by-element loop of
 the round-robin schedule that the vectorized kernel must reproduce bit for
 bit; the component oracle is breadth-first search over positive weights;
 the PCA Laplacian is the closed form of the shifted-dot graph's Laplacian,
-written without any graph.
+written without any graph; sample-space PCA is LAPACK's `eigh` on the Gram
+matrix.
 """
 
 from __future__ import annotations
@@ -175,6 +176,13 @@ def pca_laplacian(x):
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     return 2.0 * n * np.eye(n) - 2.0 - x @ x.T
+
+
+def gram_topk(x, k):
+    """Top-k eigenvalues and eigenvectors of X X^T by LAPACK, descending."""
+    x = np.asarray(x, dtype=float)
+    values, vectors = np.linalg.eigh(x @ x.T)
+    return values[::-1][:k], vectors[:, ::-1][:, :k]
 
 
 def bfs_components(weights):

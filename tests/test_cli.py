@@ -389,12 +389,9 @@ def test_cluster_gate_reads_eigen_multiplicity(
     if mult != 1:
         assert rc == 1
         assert f"multiplicity is {mult}" in err
-    elif laplacian == "unnormalized":
-        # past the gate, but at this gap the computed Fiedler vector mixes
-        # with the constant one beyond the embedding's column-sum check
-        assert rc == 1
-        assert "columns must sum to 0" in err
     else:
+        # the unnormalized run's column-sum bound widens as the Fiedler gap
+        # shrinks, so at this gap it clusters as sym and rw do
         assert rc == 0, err
         report = json.loads((out / "report.json").read_text())
         assert (report["zero_multiplicity"], report["branch"]) == (1, "connected")

@@ -5,6 +5,7 @@ from generators import connected_weights, multi_component_weights, random_weight
 from oracles import bfs_components
 from speclust import (
     ComponentLabeling,
+    EigenSystem,
     Embedding,
     WeightedGraph,
     covariance_objective,
@@ -58,6 +59,25 @@ def test_nonconstant_triangle_column_sum():
     emb = embed_nonconstant(es, 1)
     assert abs(emb.coordinates.sum()) <= 1e-8
     assert abs(np.linalg.norm(emb.coordinates) - 1.0) <= 1e-12
+
+
+def _mixed_k3_system(gap, angle):
+    # K3's eigenvectors, with the Fiedler one rotated toward the constant one
+    es = eig_symmetric(laplacian_unnormalized(K3).matrix)
+    vec = es.eigenvectors.copy()
+    c, s = np.cos(angle), np.sin(angle)
+    vec[:, 1] = c * es.eigenvectors[:, 1] + s * es.eigenvectors[:, 0]
+    return EigenSystem(np.array([0.0, gap, 3.0]), vec, 0.0)
+
+
+def test_nonconstant_column_sum_bound_follows_the_gap():
+    # the solver's tolerance, 1e-12 * ||L||_F, over the gap sets how far a
+    # column may lean toward the constant vector: 1e-9 is too far at gap 3
+    # and within tolerance at gap 1e-3
+    with pytest.raises(ValueError, match="columns must sum to 0"):
+        embed_nonconstant(_mixed_k3_system(3.0, 1e-9), 1)
+    emb = embed_nonconstant(_mixed_k3_system(1e-3, 1e-9), 1)
+    assert abs(emb.coordinates.sum()) > 1e-9
 
 
 def test_nonconstant_rejects_disconnected():

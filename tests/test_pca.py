@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import gram_topk
+
 import speclust.pca
 from speclust import (
     build_full_graph,
@@ -52,6 +54,43 @@ def test_topk_agrees_with_feature_space_eigenvectors():
     mapped /= np.linalg.norm(mapped, axis=0)
     angles = subspace_principal_angles(model.components, mapped)
     assert angles.max() <= 1e-6
+
+
+def _check_against_gram_oracle(x, k, rank=None):
+    d = center_columns(_dataset(x))
+    model = pca_topk(d, k)
+    values, vectors = gram_topk(d.points, k)
+    scale = max(float(values[0]), 1.0)
+    np.testing.assert_allclose(model.eigenvalues, values, rtol=0.0, atol=1e-10 * scale)
+    comp = model.components
+    assert comp.shape == (d.n, k)
+    assert np.abs(comp.T @ comp - np.eye(k)).max() <= 1e-13
+    # past the rank the eigenvalues vanish and the directions are arbitrary,
+    # so only the leading `rank` columns span a well-defined subspace
+    r = k if rank is None else min(rank, k)
+    proj = comp[:, :r] @ comp[:, :r].T - vectors[:, :r] @ vectors[:, :r].T
+    assert np.abs(proj).max() <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "n, m, k",
+    [(12, 4, 2), (12, 4, 4), (9, 3, 3), (5, 8, 2), (5, 8, 4), (6, 6, 5), (2, 1, 1)],
+    ids=["m<n", "k=m<n", "k=m=cap", "m>n", "k=n-1<m", "k=n-1=m-1", "n=2"],
+)
+def test_topk_matches_gram_oracle(n, m, k):
+    rng = np.random.default_rng(1000 * n + 10 * m + k)
+    # distinct column scales keep the top-k eigenvalues apart
+    x = rng.normal(size=(n, m)) * np.linspace(3.0, 0.5, m)
+    _check_against_gram_oracle(x, k)
+
+
+@pytest.mark.parametrize("n, m, k", [(10, 4, 2), (10, 4, 4), (4, 6, 3)],
+                         ids=["k=rank", "k>rank", "m>n,k>rank"])
+def test_topk_rank_deficient_matches_gram_oracle(n, m, k):
+    rng = np.random.default_rng(2000 + n + m + k)
+    # rank 2 before centering, at most 2 after
+    x = rng.normal(size=(n, 2)) @ rng.normal(size=(2, m))
+    _check_against_gram_oracle(x, k, rank=2)
 
 
 def test_topk_rejects_uncentered():
@@ -123,6 +162,16 @@ def test_principal_angles_invariant_to_basis_choice():
     assert subspace_principal_angles(q, q @ rot).max() <= 1e-7
 
 
+def test_principal_angles_same_subspace_slightly_non_orthonormal():
+    # a basis 1e-10 off orthonormal still spans the same subspace; without
+    # re-orthonormalization the angle would read about sqrt(2e-10) ~ 1e-5
+    rng = np.random.default_rng(60)
+    q = np.linalg.qr(rng.normal(size=(8, 3)))[0]
+    e = rng.normal(size=(3, 3))
+    e = 1e-10 * (e + e.T) / np.abs(e + e.T).max()
+    assert subspace_principal_angles(q, q @ (np.eye(3) + e)).max() <= 1e-7
+
+
 def test_principal_angles_reject_non_orthonormal():
     a = np.ones((4, 2))
     with pytest.raises(ValueError, match="orthonormal"):
@@ -140,8 +189,8 @@ def test_equivalence_random_all_k():
 
 
 def test_equivalence_report_solves_twice(monkeypatch):
-    # one solve for the PCA Laplacian, reused by the shift relation, and one
-    # for the Gram matrix
+    # one n x n solve for the PCA Laplacian, reused by the shift relation,
+    # and one m x m solve for the scatter matrix X^T X
     calls = []
 
     def counting(a):
@@ -151,7 +200,7 @@ def test_equivalence_report_solves_twice(monkeypatch):
     monkeypatch.setattr(speclust.pca, "eig_symmetric", counting)
     rng = np.random.default_rng(54)
     report = pca_equivalence_report(_dataset(rng.normal(size=(7, 3))), 2)
-    assert calls == [(7, 7), (7, 7)]
+    assert calls == [(7, 7), (3, 3)]
     assert report.max_angle <= 1e-6
 
 
