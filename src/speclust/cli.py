@@ -228,11 +228,7 @@ def run_cluster(cfg: PipelineConfig) -> int:
     emb = _embedding(cfg, spec)
     timer.mark("embedding")
 
-    result = None
-    for restart in range(KMEANS_RESTARTS):
-        candidate = kmeans(emb.coordinates, cfg.k, cfg.seed + restart)
-        if result is None or candidate.inertia < result.inertia:
-            result = candidate
+    result = kmeans(emb.coordinates, cfg.k, cfg.seed, restarts=KMEANS_RESTARTS)
     timer.mark("kmeans")
 
     # the covariance objective at the produced coordinates; rw pairs with the

@@ -60,10 +60,15 @@ class ClusterResult:
         return self.centroids.shape[0]
 
 
-def _plus_plus_init(rows: np.ndarray, k: int, rng: Lcg64) -> np.ndarray:
-    n = rows.shape[0]
+def _plus_plus_init(pair_d2: np.ndarray, k: int, rng: Lcg64) -> list[int]:
+    """Indices of the k-means++ picks.
+
+    pair_d2 holds the rows' pairwise squared distances; it is exactly
+    symmetric, so its row j, read contiguously, is the distance column of j.
+    """
+    n = pair_d2.shape[0]
     chosen = [min(int(rng.next_float() * n), n - 1)]
-    d2 = _squared_distances(rows, rows[chosen])[:, 0]
+    d2 = pair_d2[chosen[0]]
     while len(chosen) < k:
         total = d2.sum()
         if total <= 0.0:
@@ -75,8 +80,8 @@ def _plus_plus_init(rows: np.ndarray, k: int, rng: Lcg64) -> np.ndarray:
             r = rng.next_float() * total
             idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
         chosen.append(idx)
-        d2 = np.minimum(d2, _squared_distances(rows, rows[[idx]])[:, 0])
-    return rows[chosen].copy()
+        d2 = np.minimum(d2, pair_d2[idx])
+    return chosen
 
 
 def _repair_empty(
@@ -98,28 +103,12 @@ def _repair_empty(
     return out
 
 
-def kmeans(rows, k: int, seed: int, max_iter: int = 300) -> ClusterResult:
-    """Lloyd's algorithm with k-means++ seeding, deterministic for a fixed seed.
-
-    Stops at an assignment fixed point, when the relative inertia drop falls
-    to 1e-9 or below, or after max_iter update rounds.  Assignment ties go to
-    the lowest centroid index; the final step is always an assignment, so
-    every returned label is a nearest centroid.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[:, None]
+def _lloyd(rows: np.ndarray, pair_d2: np.ndarray, k: int, seed: int, max_iter: int) -> ClusterResult:
     n = rows.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n={n}, got k={k}")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("rows must be finite")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be positive, got {max_iter}")
-
-    rng = Lcg64(seed)
-    centroids = _plus_plus_init(rows, k, rng)
-    d2 = _squared_distances(rows, centroids)
+    chosen = _plus_plus_init(pair_d2, k, Lcg64(seed))
+    centroids = rows[chosen].copy()
+    # column j of pair_d2 holds the bits of _squared_distances(rows, rows[[j]])
+    d2 = pair_d2[:, chosen]
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), labels].sum())
     trace = [inertia]
@@ -146,6 +135,41 @@ def kmeans(rows, k: int, seed: int, max_iter: int = 300) -> ClusterResult:
             break
 
     return ClusterResult(labels, centroids, inertia, iterations, tuple(trace))
+
+
+def kmeans(rows, k: int, seed: int, max_iter: int = 300, restarts: int = 1) -> ClusterResult:
+    """Lloyd's algorithm with k-means++ seeding, deterministic for a fixed seed.
+
+    Stops at an assignment fixed point, when the relative inertia drop falls
+    to 1e-9 or below, or after max_iter update rounds.  Assignment ties go to
+    the lowest centroid index; the final step is always an assignment, so
+    every returned label is a nearest centroid.
+
+    With restarts = R, runs seeds seed .. seed + R - 1 and returns the run
+    with the lowest inertia, the lower seed on ties.  The rows' pairwise
+    squared distances, which k-means++ reads, are formed once for the fan,
+    as one n x n matrix.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    n = rows.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n={n}, got k={k}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("rows must be finite")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be positive, got {max_iter}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be positive, got {restarts}")
+
+    pair_d2 = _squared_distances(rows)
+    best = None
+    for restart in range(restarts):
+        result = _lloyd(rows, pair_d2, k, seed + restart, max_iter)
+        if best is None or result.inertia < best.inertia:
+            best = result
+    return best
 
 
 def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:

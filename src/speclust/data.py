@@ -11,6 +11,7 @@ global factor keeps them zero while forcing every pairwise dot product into
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,7 +23,8 @@ class Dataset:
     """n x m matrix of data points, one row per point.
 
     Invariants: n >= 2, m >= 1, every entry finite.  The underlying array is
-    marked read-only so instances are safe to share across threads.
+    marked read-only so instances are safe to share across threads.  Rows
+    and columns in error messages are 1-based, as in `load_csv`.
     """
 
     points: np.ndarray
@@ -38,7 +40,7 @@ class Dataset:
             raise ValueError("need at least 1 feature column")
         if not np.all(np.isfinite(pts)):
             bad = np.argwhere(~np.isfinite(pts))[0]
-            raise ValueError(f"non-finite entry at row {bad[0]}, column {bad[1]}")
+            raise ValueError(f"non-finite entry at row {bad[0] + 1}, column {bad[1] + 1}")
         if self.column_names is not None:
             names = tuple(self.column_names)
             if len(names) != pts.shape[1]:
@@ -58,15 +60,61 @@ class Dataset:
         return self.points.shape[1]
 
 
+# numpy's reader strips these around a cell as whitespace and float() does
+# not, so a file holding any of them is parsed by the csv loop alone; in
+# UTF-8 these bytes stand for these characters and nothing else
+_LOADTXT_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+
+
+def _load_whole(path, has_header: bool, delimiter: str):
+    """(points, column names) from one np.loadtxt call, or None.
+
+    None whenever the per-cell loop of `load_csv` must decide instead: any
+    exception or warning, fewer than 2 rows, a non-finite value, or a
+    character the two parsers read differently.  Where this returns a
+    result, the loop returns the same bits: both convert cells with
+    CPython's PyOS_string_to_double, the routine behind float(), and both
+    split lines as the csv module does, because loadtxt iterates the same
+    newline="" text stream rather than str.splitlines().
+    """
+    try:
+        with open(path, "rb") as raw:
+            if any(byte in raw.read() for byte in _LOADTXT_ONLY_SPACE):
+                return None
+        with open(path, newline="", encoding="utf-8") as fh:
+            column_names = None
+            if has_header:
+                header = next(row for row in csv.reader(fh, delimiter=delimiter) if row)
+                column_names = tuple(cell.strip() for cell in header)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                parsed = np.loadtxt(
+                    fh, dtype=float, delimiter=delimiter, comments=None, quotechar=None, ndmin=2
+                )
+    except Exception:
+        # whatever numpy or the file raised, the loop meets it again and
+        # raises its own, documented message
+        return None
+    if parsed.shape[0] < 2 or not np.isfinite(parsed).all():
+        return None
+    return parsed, column_names
+
+
 def load_csv(path, has_header: bool = False, delimiter: str = ",") -> Dataset:
     """Read a numeric CSV file into a Dataset.
 
     Rows and columns in error messages are 1-based; the row count starts at
     the first data line (the header, when present, is not counted).
     Scientific notation is accepted; the decimal separator is always '.'.
+    Cells are converted by float() or, for a well-formed file, by one
+    np.loadtxt call that rounds every cell the same way.
     """
     if len(delimiter) != 1:
         raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
+    whole = _load_whole(path, has_header, delimiter)
+    if whole is not None:
+        return Dataset(*whole)
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         rows = [row for row in reader if row]

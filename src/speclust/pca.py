@@ -136,7 +136,10 @@ def subspace_principal_angles(a, b) -> np.ndarray:
 
     Both bases are re-orthonormalized by a thin QR before the SVD: a basis
     that is off orthonormal by delta would otherwise inflate the angles by
-    up to sqrt(2 delta).
+    up to sqrt(2 delta).  The cosines are the singular values of A^T B, but
+    arccos near 1 resolves angles only down to about 2e-8, so angles up to
+    pi/4 come from the sines instead, the singular values of (I - A A^T) B
+    (Knyazev and Argentati, SIAM J. Sci. Comput. 23, 2002).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -147,8 +150,15 @@ def subspace_principal_angles(a, b) -> np.ndarray:
         if dev > 1e-8:
             raise ValueError(f"columns of {name} are not orthonormal (deviation {dev:.3e})")
     a, b = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
-    sigma = np.linalg.svd(a.T @ b, compute_uv=False)
-    return np.sort(np.arccos(np.clip(sigma, 0.0, 1.0)))
+    cross = a.T @ b
+    cosines = np.linalg.svd(cross, compute_uv=False)  # descending
+    sines = np.linalg.svd(b - a @ cross, compute_uv=False)[::-1]  # ascending
+    # the i-th smallest angle has the i-th largest cosine and i-th smallest sine
+    small = cosines**2 >= 0.5
+    angles = np.where(
+        small, np.arcsin(np.clip(sines, 0.0, 1.0)), np.arccos(np.clip(cosines, 0.0, 1.0))
+    )
+    return np.sort(angles)
 
 
 def pca_equivalence_report(d: Dataset, k: int) -> EquivalenceReport:

@@ -7,11 +7,14 @@ the round-robin schedule that the vectorized kernel must reproduce bit for
 bit; the component oracle is breadth-first search over positive weights;
 the PCA Laplacian is the closed form of the shifted-dot graph's Laplacian,
 written without any graph; sample-space PCA is LAPACK's `eigh` on the Gram
-matrix.
+matrix.  The CSV loader, the kNN neighbour choice and k-means are copies of
+earlier one-cell, one-row and one-pick loops that the whole-array code must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 from collections import deque
 
 import numpy as np
@@ -204,3 +207,150 @@ def bfs_components(weights):
                     queue.append(j)
         count += 1
     return labels, count
+
+
+def scalar_load_csv(path, has_header=False, delimiter=","):
+    """(points, column names) of a numeric CSV, read one cell at a time.
+
+    The csv-module loop that `load_csv` keeps for files its single numpy
+    call does not take; it raises the same messages.
+    """
+    if len(delimiter) != 1:
+        raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        rows = [row for row in reader if row]
+
+    column_names = None
+    if has_header:
+        if not rows:
+            raise ValueError(f"{path}: empty file, header expected")
+        column_names = tuple(cell.strip() for cell in rows[0])
+        rows = rows[1:]
+
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, got {len(rows)}")
+
+    width = len(rows[0])
+    parsed = np.empty((len(rows), width), dtype=float)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(
+                f"{path}: ragged row {i + 1} has {len(row)} cells, expected {width}"
+            )
+        for j, cell in enumerate(row):
+            try:
+                parsed[i, j] = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}"
+                ) from None
+
+    bad = np.argwhere(~np.isfinite(parsed))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: non-finite cell at row {i + 1}, column {j + 1}: {rows[i][j]!r}")
+
+    return parsed, column_names
+
+
+def knn_adjacency(sq, k_neighbors):
+    """Union-symmetrized kNN adjacency from squared distances, row by row.
+
+    Each row is sorted stably, so distance ties go to the lower vertex
+    index, and vertex i is then removed from its own row.
+    """
+    n = sq.shape[0]
+    adjacency = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        order = np.argsort(sq[i], kind="stable")
+        order = order[order != i]
+        adjacency[i, order[:k_neighbors]] = True
+    return adjacency | adjacency.T
+
+
+def _sq_distances(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+class _Lcg64:
+    def __init__(self, seed):
+        self.state = seed & ((1 << 64) - 1)
+
+    def next_float(self):
+        self.state = (6364136223846793005 * self.state + 1442695040888963407) & ((1 << 64) - 1)
+        return (self.state >> 11) / float(1 << 53)
+
+
+def _plus_plus_init(rows, k, rng):
+    n = rows.shape[0]
+    chosen = [min(int(rng.next_float() * n), n - 1)]
+    d2 = _sq_distances(rows, rows[chosen])[:, 0]
+    while len(chosen) < k:
+        total = d2.sum()
+        if total <= 0.0:
+            used = set(chosen)
+            idx = next(i for i in range(n) if i not in used)
+        else:
+            r = rng.next_float() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
+        chosen.append(idx)
+        d2 = np.minimum(d2, _sq_distances(rows, rows[[idx]])[:, 0])
+    return rows[chosen].copy()
+
+
+def _repair_empty(rows, centroids, labels, d2):
+    out = centroids.copy()
+    point_d2 = d2[np.arange(len(labels)), labels].copy()
+    counts = np.bincount(labels, minlength=out.shape[0])
+    for cid in np.flatnonzero(counts == 0):
+        far = int(np.argmax(point_d2))
+        if point_d2[far] <= 0.0:
+            raise ValueError(
+                f"cannot repair empty cluster {cid}: all points coincide with "
+                "their centroids; k is too large for this data"
+            )
+        out[cid] = rows[far]
+        point_d2[far] = 0.0
+    return out
+
+
+def scalar_kmeans(rows, k, seed, max_iter=300):
+    """One k-means run with a distance pass per k-means++ pick.
+
+    Returns (labels, centroids, inertia, iterations, inertia trace), the
+    fields of a ClusterResult.  The LCG is the documented recurrence.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    n = rows.shape[0]
+    centroids = _plus_plus_init(rows, k, _Lcg64(seed))
+    d2 = _sq_distances(rows, centroids)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(n), labels].sum())
+    trace = [inertia]
+
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        new_centroids = centroids.copy()
+        for cid in range(k):
+            members = labels == cid
+            if members.any():
+                new_centroids[cid] = rows[members].mean(axis=0)
+        new_centroids = _repair_empty(rows, new_centroids, labels, d2)
+
+        d2 = _sq_distances(rows, new_centroids)
+        new_labels = np.argmin(d2, axis=1)
+        new_inertia = float(d2[np.arange(n), new_labels].sum())
+        trace.append(new_inertia)
+
+        fixed_point = np.array_equal(new_labels, labels)
+        small_drop = inertia <= 0.0 or (inertia - new_inertia) <= 1e-9 * inertia
+        centroids, labels, inertia = new_centroids, new_labels, new_inertia
+        if fixed_point or small_drop:
+            break
+
+    return labels, centroids, inertia, iterations, tuple(trace)

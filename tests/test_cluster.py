@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import speclust.cluster
 from generators import blobs
+from oracles import scalar_kmeans
 from speclust import Lcg64, adjusted_rand_index, align_labels, kmeans, write_labels
 
 MULT = 6364136223846793005
@@ -186,3 +188,92 @@ def test_write_labels_format(tmp_path):
     path = tmp_path / "labels.csv"
     write_labels(np.array([2, 0, 1]), path)
     assert path.read_text() == "index,label\n0,2\n1,0\n2,1\n"
+
+
+def _fan_oracle(rows, k, seed, restarts):
+    best = None
+    for r in range(restarts):
+        run = scalar_kmeans(rows, k, seed + r)
+        if best is None or run[2] < best[2]:
+            best = run
+    return best
+
+
+def _assert_same_result(res, expected):
+    labels, centroids, inertia, iterations, trace = expected
+    assert res.labels.dtype == labels.dtype and res.labels.tobytes() == labels.tobytes()
+    assert res.centroids.shape == centroids.shape
+    assert res.centroids.tobytes() == centroids.tobytes()
+    assert repr(res.inertia) == repr(inertia)
+    assert res.iterations == iterations
+    assert [repr(x) for x in res.inertia_trace] == [repr(x) for x in trace]
+
+
+# 8 points whose k-means++ start at seed 55 (k = 3) empties a cluster in
+# Lloyd's first update, so the repair gives it the farthest point
+EMPTY_CLUSTER_ROWS = np.array([
+    [3.9, 1.8], [1.0, 7.8], [7.9, 8.7], [3.2, 1.2], [6.1, 7.3], [2.2, 7.9], [2.8, 0.5], [2.7, 0.0],
+])
+
+
+@pytest.mark.parametrize("restarts", [1, 3, 10])
+def test_kmeans_fan_matches_best_of_per_pick_runs(restarts):
+    rng = np.random.default_rng(30)
+    pts, _ = blobs(rng, [(0.0, 0.0, 0.0), (4.0, 0.0, 1.0), (0.0, 4.0, -1.0), (3.0, 3.0, 3.0)], 12, 1.0)
+    cases = [
+        (pts, 4, 7),
+        (pts, 9, 0),
+        (rng.normal(size=(40, 1)), 5, 3),
+        (np.round(rng.normal(size=(30, 2)), 1), 6, 11),  # near-ties and duplicates
+        (rng.normal(size=(25, 40)), 25, 2),  # k = n
+        (EMPTY_CLUSTER_ROWS, 3, 55),
+    ]
+    for rows, k, seed in cases:
+        _assert_same_result(kmeans(rows, k, seed, restarts=restarts), _fan_oracle(rows, k, seed, restarts))
+
+
+def test_kmeans_fan_covers_an_empty_cluster_repair(monkeypatch):
+    repaired = []
+    original = speclust.cluster._repair_empty
+
+    def spy(rows, centroids, labels, d2):
+        out = original(rows, centroids, labels, d2)
+        repaired.append(bool(np.any(np.bincount(labels, minlength=len(centroids)) == 0)))
+        return out
+
+    monkeypatch.setattr(speclust.cluster, "_repair_empty", spy)
+    res = kmeans(EMPTY_CLUSTER_ROWS, 3, 55)
+    assert any(repaired)
+    _assert_same_result(res, scalar_kmeans(EMPTY_CLUSTER_ROWS, 3, 55))
+
+
+@pytest.mark.parametrize("restarts", [1, 4])
+def test_kmeans_fan_duplicate_fallback_raises_like_per_pick_runs(restarts):
+    # 3 distinct points for k = 4: k-means++ runs out of mass and falls back
+    # to the lowest unused index, a duplicate, whose empty cluster cannot be
+    # repaired
+    rows = np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 1.0], [5.0, 5.0], [2.0, 0.0], [5.0, 5.0]])
+    for seed in range(5):
+        with pytest.raises(ValueError) as expected:
+            _fan_oracle(rows, 4, seed, restarts)
+        with pytest.raises(ValueError) as got:
+            kmeans(rows, 4, seed, restarts=restarts)
+        assert str(got.value) == str(expected.value)
+
+
+def test_kmeans_fan_keeps_the_lower_seed_on_ties():
+    # two pairs of twins: every seed reaches inertia 0, with the labels of
+    # seed 5 or swapped ones, so the fan must return seed 5's own run
+    rows = np.array([[0.0], [0.0], [10.0], [10.0]])
+    runs = [kmeans(rows, 2, seed) for seed in range(5, 10)]
+    assert {r.inertia for r in runs} == {0.0}
+    assert runs[-1].labels.tobytes() != runs[0].labels.tobytes()
+    fan = kmeans(rows, 2, 5, restarts=5)
+    single = runs[0]
+    assert fan.labels.tobytes() == single.labels.tobytes()
+    assert fan.centroids.tobytes() == single.centroids.tobytes()
+
+
+def test_kmeans_rejects_bad_restarts():
+    with pytest.raises(ValueError, match="restarts"):
+        kmeans(np.arange(4.0), 2, seed=0, restarts=0)

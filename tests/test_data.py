@@ -154,3 +154,9 @@ def test_standardize_bounds_dot_products():
     assert np.abs(std.points.mean(axis=0)).max() <= 1e-12
     norms = np.sqrt((std.points**2).sum(axis=1))
     assert abs(norms.max() - 1.0) <= 1e-12
+
+
+def test_dataset_reports_non_finite_entry_one_based():
+    # the same 1-based positions as load_csv's messages
+    with pytest.raises(ValueError, match=r"^non-finite entry at row 2, column 3$"):
+        Dataset(points=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, np.nan]]))

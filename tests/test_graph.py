@@ -6,7 +6,7 @@ import pytest
 
 import speclust.graph
 from generators import random_weights
-from oracles import bfs_components
+from oracles import bfs_components, knn_adjacency
 from speclust import (
     Dataset,
     WeightedGraph,
@@ -256,3 +256,33 @@ def test_graph_type_rejects_asymmetric_and_negative():
     w2 = np.array([[0.0, -1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError):
         WeightedGraph(weights=w2, degrees=w2.sum(axis=1))
+
+
+@pytest.mark.parametrize("m", [1, 7, 64])
+def test_mirrored_squared_distances_match_one_pass(m, monkeypatch):
+    # n = 53 is no multiple of any block height the triangle uses, and the
+    # rows repeat, so exact zeros and ties sit off the diagonal too
+    rng = np.random.default_rng(28)
+    pts = rng.normal(size=(53, m)) * 10.0 ** rng.integers(-3, 4, size=(53, 1))
+    pts[40:] = pts[:13]
+    diff = pts[:, None, :] - pts[None, :, :]
+    expected = np.einsum("ijk,ijk->ij", diff, diff)
+    for entries in (5 * m, 16 * 53 * m + m, 1 << 18):
+        monkeypatch.setattr(speclust.graph, "_DISTANCE_ENTRIES", entries)
+        assert np.array_equal(_squared_distances(pts), expected), entries
+
+
+def test_knn_ties_go_to_the_lower_vertex_index():
+    # exact duplicates (0, 1, 5) and points equidistant from them: in row 1
+    # the stable order puts twin 0 ahead of vertex 1 itself
+    pts = np.array([
+        [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+        [0.0, 0.0], [0.0, -1.0], [2.0, 0.0], [1.0, 0.0], [-2.0, 0.0],
+    ])
+    diff = pts[:, None, :] - pts[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    first = np.argsort(sq, axis=1, kind="stable")[:, 0]
+    assert np.any(first != np.arange(len(pts)))
+    for k in range(1, len(pts)):
+        g = build_knn_graph(_dataset(pts), k, delta=10.0)
+        assert np.array_equal(g.weights > 0.0, knn_adjacency(sq, k)), k

@@ -262,3 +262,19 @@ def test_equivalence_from_csv_input(tmp_path):
     path.write_text("\n".join(",".join("%.17g" % v for v in row) for row in pts) + "\n")
     report = pca_equivalence_report(load_csv(path), 2)
     assert report.max_angle <= 1e-6
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_principal_angles_resolve_constructed_angles(rotate):
+    # arccos alone reads rounding as angles up to ~2e-8; the sine route
+    # resolves small angles, the cosine route angles near pi/2
+    theta = np.array([0.0, 1e-10, 1e-6, np.pi / 4, np.pi / 2 - 1e-9])
+    k, n = len(theta), 12
+    a = np.eye(n)[:, :k]
+    b = np.cos(theta) * np.eye(n)[:, :k] + np.sin(theta) * np.eye(n)[:, k : 2 * k]
+    if rotate:
+        q = np.linalg.qr(np.random.default_rng(55).normal(size=(n, n)))[0]
+        a, b = q @ a, q @ b
+    for x, y in ((a, b), (b, a)):
+        angles = subspace_principal_angles(x, y)
+        assert np.abs(angles - theta).max() <= 1e-12, angles
