@@ -7,8 +7,8 @@ on standardized data the shifted-dot-product graph makes the pipeline
 coincide with PCA, and `pca_equivalence_report` checks that numerically.
 """
 
-from .cluster import ClusterResult, Lcg64, adjusted_rand_index, align_labels, kmeans, write_labels
-from .data import Dataset, center_columns, load_csv, scale_global, standardize, write_csv
+from .cluster import ClusterResult, Lcg64, adjusted_rand_index, align_labels, kmeans
+from .data import Dataset, center_columns, load_csv, scale_global, standardize
 from .eigen import ConvergenceError, EigenSystem, eig_rw, eig_symmetric
 from .embedding import (
     Embedding,
@@ -21,7 +21,6 @@ from .embedding import (
     embed_normalized,
     indicator_check,
     pairwise_dissimilarity,
-    write_embedding,
 )
 from .graph import (
     ComponentLabeling,
@@ -45,7 +44,6 @@ from .pca import (
     pca_topk,
     subspace_principal_angles,
     verify_shift_relation,
-    write_equivalence_report,
 )
 
 __all__ = [
@@ -89,9 +87,5 @@ __all__ = [
     "standardize",
     "subspace_principal_angles",
     "verify_shift_relation",
-    "write_csv",
-    "write_embedding",
-    "write_equivalence_report",
-    "write_labels",
     "zero_eigenvalue_multiplicity",
 ]

@@ -232,11 +232,3 @@ def align_labels(pred, truth) -> np.ndarray:
             best_hits = hits
             best_perm = mapping
     return np.array([best_perm[p] for p in pred])
-
-
-def write_labels(labels, path) -> None:
-    """CSV dump with an index,label header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,label\n")
-        for i, lab in enumerate(labels):
-            fh.write(f"{i},{int(lab)}\n")

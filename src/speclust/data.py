@@ -152,20 +152,6 @@ def load_csv(path, has_header: bool = False, delimiter: str = ",") -> Dataset:
     return Dataset(parsed, column_names)
 
 
-def write_csv(d: Dataset, path, delimiter: str = ",") -> None:
-    """Write a Dataset as CSV with 17-significant-digit decimals.
-
-    17 significant digits round-trip IEEE doubles exactly, so
-    load_csv(write_csv(d)) reproduces d bit for bit.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        if d.column_names is not None:
-            writer.writerow(d.column_names)
-        for row in d.points:
-            writer.writerow([format(x, ".17g") for x in row])
-
-
 def center_columns(d: Dataset) -> Dataset:
     """Subtract each column's mean. Idempotent up to rounding."""
     return Dataset(d.points - d.points.mean(axis=0), d.column_names)

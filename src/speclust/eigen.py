@@ -181,11 +181,10 @@ class EigenSystem:
 
 
 def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
-    flips = np.ones(vectors.shape[1])
-    for t in range(vectors.shape[1]):
-        lead = np.argmax(np.abs(vectors[:, t]))
-        if vectors[lead, t] < 0.0:
-            flips[t] = -1.0
+    # each column's largest-|x| entry (lowest index on ties) made positive;
+    # a flip by -1 is exact, so no bit but the sign moves
+    lead = np.argmax(np.abs(vectors), axis=0)
+    flips = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
     return vectors * flips
 
 

@@ -258,10 +258,3 @@ def indicator_check(
     min_inter = float(dist[cross].min()) if cross.any() else np.inf
     passed = max_intra <= tolerance and min_inter >= 10.0 * tolerance
     return IndicatorCheckResult(passed, max_intra, min_inter)
-
-
-def write_embedding(e: Embedding, path) -> None:
-    """CSV dump, n rows by k columns, 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in e.coordinates:
-            fh.write(",".join(format(x, ".17g") for x in row) + "\n")

@@ -197,15 +197,3 @@ def pca_equivalence_report(d: Dataset, k: int) -> EquivalenceReport:
     return EquivalenceReport(
         k, angles, float(angles.max()), residuals, eigengap, degenerate
     )
-
-
-def write_equivalence_report(report: EquivalenceReport, path) -> None:
-    """Plain-text dump: one labeled line per field, 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"k: {report.k}\n")
-        fh.write("principal_angles: " + ",".join(format(x, ".17g") for x in report.principal_angles) + "\n")
-        fh.write(f"max_angle: {report.max_angle:.17g}\n")
-        fh.write("shift_residuals: " + ",".join(format(x, ".17g") for x in report.shift_residuals) + "\n")
-        fh.write(f"eigengap_at_k: {report.eigengap_at_k:.17g}\n")
-        # lowercase to match the json artifact, so one parser reads both
-        fh.write(f"degenerate_spectrum: {'true' if report.degenerate_spectrum else 'false'}\n")

@@ -7,9 +7,9 @@ the round-robin schedule that the vectorized kernel must reproduce bit for
 bit; the component oracle is breadth-first search over positive weights;
 the PCA Laplacian is the closed form of the shifted-dot graph's Laplacian,
 written without any graph; sample-space PCA is LAPACK's `eigh` on the Gram
-matrix.  The CSV loader, the kNN neighbour choice and k-means are copies of
-earlier one-cell, one-row and one-pick loops that the whole-array code must
-reproduce bit for bit.
+matrix.  The CSV loader, the kNN neighbour choice, k-means and the
+eigenvector sign rule are copies of earlier one-cell, one-row, one-pick and
+one-column loops that the whole-array code must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -167,6 +167,16 @@ def scalar_jacobi_sweeps(a, v, max_sweeps, rel_tol):
         offs.append(off)
         thresholds.append(threshold)
     return most, np.array(offs), np.array(thresholds)
+
+
+def column_signs(vectors):
+    """Each column times -1 if its first largest-|x| entry is negative."""
+    flips = np.ones(vectors.shape[1])
+    for t in range(vectors.shape[1]):
+        lead = np.argmax(np.abs(vectors[:, t]))
+        if vectors[lead, t] < 0.0:
+            flips[t] = -1.0
+    return vectors * flips
 
 
 def pca_laplacian(x):

@@ -451,18 +451,20 @@ def test_cluster_missing_input_flag(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["cluster", "--input", "x.csv", "--graph", "bogus", "--k", "2"],
-        ["cluster", "--input", "x.csv", "--k", "two"],
-        [],
-        ["pca-equiv", "--input", "x.csv"],
+        (["cluster", "--input", "x.csv", "--graph", "bogus", "--k", "2"], "invalid choice"),
+        (["cluster", "--input", "x.csv", "--k", "two"], "invalid int value"),
+        ([], "required"),
+        (["pca-equiv", "--input", "x.csv"], "required: --k"),
+        (["pca-equiv", "--k", "2"], "missing required --input"),
     ],
-    ids=["bad-choice", "bad-int", "no-subcommand", "pca-equiv-without-k"],
+    ids=["bad-choice", "bad-int", "no-subcommand", "pca-equiv-without-k", "pca-equiv-without-input"],
 )
-def test_bad_command_line_exits_1(argv):
+def test_bad_command_line_exits_1(argv, message, capsys):
     # 2 is reserved for numerical failure
     assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_help_exits_0():
@@ -544,3 +546,40 @@ def test_installed_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "branch indicator" in proc.stdout
     assert (out / "labels.csv").exists()
+
+
+# values at the edges of the double range and ones with no short decimal form
+_EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (6,), (2, 3)], ids=["column", "vector", "rows"])
+def test_write_rows_prints_17_significant_digits(tmp_path, shape):
+    values = np.array(_EDGE_FLOATS).reshape(shape)
+    path = tmp_path / "rows.txt"
+    cli._write_rows(path, values)
+    rows = values.reshape(values.shape[0], -1)
+    assert path.read_text() == "".join(
+        ",".join(format(x, ".17g") for x in row) + "\n" for row in rows.tolist()
+    )
+
+
+def test_report_txt_follows_dict_order(tmp_path):
+    cli._write_report({"b": 1, "a": [0.1, 1 / 3], "c": {"z": True, "y": False}}, tmp_path)
+    assert (tmp_path / "report.txt").read_text() == (
+        "b: 1\na: 0.10000000000000001,0.33333333333333331\nc.z: true\nc.y: false\n"
+    )
+    assert list(json.loads((tmp_path / "report.json").read_text())) == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("command", ["cluster", "eigen"])
+def test_report_txt_lines_sorted(tmp_path, command):
+    csv, _ = _two_blob_csv(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "--input", str(csv), "--graph", "full", "--delta", "0.5", "--out", str(out)]
+    assert cli.main(argv + (["--k", "2"] if command == "cluster" else [])) == 0
+    keys = [line.split(":", 1)[0] for line in (out / "report.txt").read_text().splitlines()]
+    # report.json sorts its keys, nested ones too
+    report = json.loads((out / "report.json").read_text())
+    flat = [f"{k}.{sub}" if isinstance(v, dict) else k
+            for k, v in report.items() for sub in (v if isinstance(v, dict) else [None])]
+    assert keys == flat

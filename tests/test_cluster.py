@@ -4,7 +4,7 @@ import pytest
 import speclust.cluster
 from generators import blobs
 from oracles import scalar_kmeans
-from speclust import Lcg64, adjusted_rand_index, align_labels, kmeans, write_labels
+from speclust import Lcg64, adjusted_rand_index, align_labels, cli, kmeans
 
 MULT = 6364136223846793005
 INC = 1442695040888963407
@@ -186,7 +186,8 @@ def test_align_labels_refuses_large_k():
 
 def test_write_labels_format(tmp_path):
     path = tmp_path / "labels.csv"
-    write_labels(np.array([2, 0, 1]), path)
+    labels = np.array([2, 0, 1])
+    cli._write_rows(path, np.column_stack((np.arange(3), labels)), "%d", header="index,label")
     assert path.read_text() == "index,label\n0,2\n1,0\n2,1\n"
 
 

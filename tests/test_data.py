@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from speclust import Dataset, center_columns, load_csv, scale_global, standardize, write_csv
+from speclust import Dataset, center_columns, cli, load_csv, scale_global, standardize
 
 
 def _write(path, text):
@@ -77,12 +77,16 @@ def test_dataset_invariants():
 
 def test_write_then_load_roundtrips_exactly(tmp_path):
     rng = np.random.default_rng(0)
-    d = Dataset(points=rng.normal(size=(7, 3)) * 1e3, column_names=("x", "y", "z"))
+    points = rng.normal(size=(7, 3)) * 1e3
+    # signed zero, the smallest subnormal and normal, the largest double
+    points[:2] = [[-0.0, 5e-324, 1.7976931348623157e308], [2.2250738585072014e-308, 0.1, 1 / 3]]
+    d = Dataset(points=points, column_names=("x", "y", "z"))
     path = tmp_path / "out.csv"
-    write_csv(d, path)
+    cli._write_rows(path, d.points, header=",".join(d.column_names))
     back = load_csv(str(path), has_header=True)
     # 17 significant digits round-trip IEEE doubles bit-exactly
     np.testing.assert_array_equal(back.points, d.points)
+    assert back.points.tobytes() == d.points.tobytes()
     assert back.column_names == d.column_names
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import speclust.eigen
 from generators import connected_weights, multi_component_weights, random_symmetric
-from oracles import power_eigensystem, round_robin_rounds, scalar_jacobi_sweeps
+from oracles import column_signs, power_eigensystem, round_robin_rounds, scalar_jacobi_sweeps
 from speclust import (
     ConvergenceError,
     WeightedGraph,
@@ -111,6 +111,15 @@ def test_sign_canonicalization_tie_breaks_by_lowest_index():
     # the lambda=2 column is (1,-1)/sqrt(2) up to sign; both entries tie in
     # magnitude, so the first one must be the positive one
     assert es.eigenvectors[0, 1] > 0.0 and es.eigenvectors[1, 1] < 0.0
+
+
+def test_sign_rule_matches_column_loop():
+    rng = np.random.default_rng(9)
+    for n, k in ((1, 1), (3, 0), (5, 5), (12, 7), (40, 3)):
+        for vectors in (rng.normal(size=(n, k)), np.round(rng.normal(size=(n, k)))):
+            vectors[:, : k // 2] *= -0.0  # signed-zero columns
+            got = speclust.eigen._canonicalize_signs(vectors)
+            assert got.tobytes() == column_signs(vectors).tobytes()
 
 
 def test_rejects_asymmetric_input():

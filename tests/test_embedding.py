@@ -8,6 +8,7 @@ from speclust import (
     EigenSystem,
     Embedding,
     WeightedGraph,
+    cli,
     covariance_objective,
     eig_symmetric,
     eigenvalue_scale,
@@ -19,7 +20,6 @@ from speclust import (
     laplacian_sym,
     laplacian_unnormalized,
     pairwise_dissimilarity,
-    write_embedding,
     zero_eigenvalue_multiplicity,
 )
 
@@ -336,7 +336,7 @@ def test_write_embedding_roundtrips(tmp_path):
     es = eig_symmetric(laplacian_unnormalized(_graph(w)).matrix)
     emb = embed_nonconstant(es, 2)
     path = tmp_path / "emb.csv"
-    write_embedding(emb, path)
+    cli._write_rows(path, emb.coordinates)
     back = np.array(
         [[float(x) for x in line.split(",")] for line in path.read_text().splitlines()]
     )

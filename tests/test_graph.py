@@ -228,8 +228,10 @@ def test_components_agree_with_bfs_oracle():
 
 
 def test_weights_exactly_symmetric_for_every_builder():
-    # no builder mirrors a triangle, so symmetry must come from the pair terms;
-    # n = 37 spans several distance blocks
+    # the distance kernel mirrors its upper block triangle, while the Gram
+    # matrix of shifted_dot and every kernel weight come from pair terms, so
+    # each builder must keep them exactly symmetric; n = 37 spans several
+    # distance blocks
     rng = np.random.default_rng(8)
     graphs = []
     for n, m, delta, eps in ((10, 3, 0.9, 1.2), (37, 50, 4.0, 10.0)):

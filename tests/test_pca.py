@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from generators import write_points_csv
 from oracles import gram_topk
 
 import speclust.pca
 from speclust import (
     build_full_graph,
     center_columns,
+    cli,
     eig_symmetric,
     laplacian_unnormalized,
     load_csv,
@@ -15,7 +17,6 @@ from speclust import (
     standardize,
     subspace_principal_angles,
     verify_shift_relation,
-    write_equivalence_report,
 )
 from speclust.data import Dataset
 
@@ -242,10 +243,12 @@ def test_equivalence_report_fields_consistent():
 
 def test_equivalence_report_written_form(tmp_path):
     rng = np.random.default_rng(58)
-    report = pca_equivalence_report(_dataset(rng.normal(size=(6, 3))), 2)
-    path = tmp_path / "report.txt"
-    write_equivalence_report(report, path)
-    text = path.read_text()
+    csv = tmp_path / "pts.csv"
+    write_points_csv(csv, rng.normal(size=(6, 3)))
+    report = pca_equivalence_report(load_csv(csv), 2)
+    out = tmp_path / "out"
+    assert cli.main(["pca-equiv", "--input", str(csv), "--k", "2", "--out", str(out)]) == 0
+    text = (out / "report.txt").read_text()
     assert "k: 2" in text
     assert "max_angle:" in text
     assert "degenerate_spectrum: false" in text
