@@ -34,7 +34,7 @@ truth = np.repeat([0, 1, 2], 12)
 # clouds are far apart, so the graph splits into three components
 graph = build_epsilon_graph(Dataset(points=points), epsilon=1.5, kernel="unit")
 components = connected_components(graph)
-print(f"components found by union-find: {components.component_count}")
+print(f"connected components of the graph: {components.component_count}")
 
 es = eig_symmetric(laplacian_unnormalized(graph).matrix)
 mult = zero_eigenvalue_multiplicity(es.eigenvalues)

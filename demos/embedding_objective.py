@@ -16,12 +16,12 @@ from speclust import (
     build_full_graph,
     covariance_objective,
     eig_symmetric,
-    eigenvalue_scale,
     embed_nonconstant,
     embed_normalized,
     laplacian_sym,
     laplacian_unnormalized,
 )
+from speclust.embedding import eigenvalue_scale
 
 rng = np.random.default_rng(5)
 points = rng.normal(size=(12, 3))
@@ -54,12 +54,16 @@ print(f"best improvement found by 200 random orthonormal competitors: "
       f"{worst:.2e} (never above 0: the eigenvectors are optimal)")
 
 # the same identity holds for the degree-normalized variant after
-# substituting the degree-scaled rows
+# substituting the degree-scaled rows z_i = y_i / sqrt(D_ii): the objective
+# takes the L_sym eigenvector rows y and forms z itself
 lap_s = laplacian_sym(graph)
 es_s = eig_symmetric(lap_s.matrix)
-emb_s = embed_normalized(es_s, graph.degrees, 2, scaled=True)
+emb_s = embed_normalized(es_s, graph.degrees, 2)
 report_s = covariance_objective(emb_s, graph, lap_s)
 print(f"normalized variant identity gap: {report_s.identity_gap:.2e}")
+z = emb_s.coordinates / np.sqrt(graph.degrees)[:, None]
+scaled_rows = embed_normalized(es_s, graph.degrees, 2, scaled=True).coordinates
+print(f"scaled=True rows are the objective's z bit for bit: {np.array_equal(scaled_rows, z)}")
 
 # optional post-scaling by 1/sqrt(eigenvalue) equalizes column energies
 scaled = eigenvalue_scale(embedding)

@@ -15,7 +15,6 @@ from .embedding import (
     IndicatorCheckResult,
     ObjectiveReport,
     covariance_objective,
-    eigenvalue_scale,
     embed_classical,
     embed_nonconstant,
     embed_normalized,
@@ -70,7 +69,6 @@ __all__ = [
     "covariance_objective",
     "eig_rw",
     "eig_symmetric",
-    "eigenvalue_scale",
     "embed_classical",
     "embed_nonconstant",
     "embed_normalized",

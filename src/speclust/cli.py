@@ -40,13 +40,7 @@ import numpy as np
 from .cluster import kmeans
 from .data import load_csv
 from .eigen import ConvergenceError, EigenSystem, eig_rw, eig_symmetric
-from .embedding import (
-    Embedding,
-    covariance_objective,
-    embed_classical,
-    embed_nonconstant,
-    embed_normalized,
-)
+from .embedding import Embedding, covariance_objective, embed_classical, embed_nonconstant
 from .graph import (
     WeightedGraph,
     build_epsilon_graph,
@@ -166,12 +160,8 @@ def _embedding(cfg: PipelineConfig, spec: _Spectrum) -> Embedding:
     es = spec.eigensystem
     if cfg.embedding == "classical":
         return embed_classical(es, cfg.k)
-    # the nonconstant embeddings check connectivity at the run's tolerance,
-    # so they count the same multiplicity as the spectrum stage
-    if cfg.laplacian == "sym":
-        return embed_normalized(es, spec.graph.degrees, cfg.k, tolerance=cfg.zero_tol)
-    # the rw eigensystem's first eigenvector is constant as well
-    variant = "rw" if cfg.laplacian == "rw" else "nonconstant"
+    # one connectivity gate for every Laplacian, at the spectrum stage's tolerance
+    variant = "nonconstant" if cfg.laplacian == "unnormalized" else cfg.laplacian
     return embed_nonconstant(es, cfg.k, tolerance=cfg.zero_tol, variant=variant)
 
 

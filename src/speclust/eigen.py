@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _component_labels
 from .laplacian import LaplacianMatrix
 
 MAX_SWEEPS = 100
@@ -198,23 +199,12 @@ def _connected_blocks(mat: np.ndarray) -> list[np.ndarray]:
 
     Returns one (b, s) index array per block size s, ascending in s; each row
     lists one block's indices in ascending order, and blocks of one size
-    are in order of their first index.  Found by breadth-first search on
-    the matrix itself, not through the graph's union-find, so the solver's
-    zero count stays an independent check of the component count.
+    are in order of their first index.  The labels are `connected_components`'
+    own; a split block would leave entries out of the solve and break the
+    full-matrix residual bound, a merge would show as a multiplicity unlike
+    the component count, and the tests pin the labels to breadth-first search.
     """
-    n = mat.shape[0]
-    linked = mat != 0.0
-    label = np.full(n, -1)
-    count = 0
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        frontier = np.zeros(n, dtype=bool)
-        frontier[start] = True
-        while frontier.any():
-            label[frontier] = count
-            frontier = linked[frontier].any(axis=0) & (label < 0)
-        count += 1
+    label = _component_labels(mat != 0.0)
     members = np.argsort(label, kind="stable")
     sizes = np.bincount(label)
     first = np.cumsum(sizes) - sizes

@@ -117,8 +117,8 @@ def embed_nonconstant(
     Requires a connected graph's Laplacian (one zero eigenvalue, counted by
     zero_eigenvalue_multiplicity at `tolerance`); on a multi-component graph
     the leading eigenvectors are component indicators and the caller should
-    take that path explicitly via embed_classical.  Pass variant="rw" for an
-    eig_rw eigensystem, whose columns are unit-norm but not zero-sum.
+    take that path explicitly via embed_classical.  Pass variant="sym" or
+    "rw" for an L_sym or eig_rw eigensystem, whose columns are not zero-sum.
     """
     n = len(es.eigenvalues)
     _check_k(k, n - 1, "a nonconstant embedding")
@@ -156,25 +156,16 @@ def embed_normalized(
 ) -> Embedding:
     """Columns 1..k of a symmetric-normalized eigensystem.
 
-    With scaled=True each row i is divided by sqrt(D_ii), mapping the
-    symmetric-normalized coordinates onto the random-walk ones.  The graph
-    must be connected: one zero eigenvalue at `tolerance`.
+    embed_nonconstant with variant "sym"; with scaled=True each row i is then
+    divided by sqrt(D_ii), mapping it onto the random-walk coordinates.
     """
     deg = np.asarray(degrees, dtype=float)
-    n = len(es_sym.eigenvalues)
-    _check_k(k, n - 1, "a normalized embedding")
     if np.any(deg <= 0.0):
         raise ValueError("degrees must all be positive")
-    mult = zero_eigenvalue_multiplicity(es_sym.eigenvalues, tolerance)
-    if mult != 1:
-        raise ValueError(
-            f"zero eigenvalue multiplicity is {mult}, not 1; normalized "
-            "embeddings assume a connected graph"
-        )
-    coords = es_sym.eigenvectors[:, 1 : k + 1].copy()
-    if scaled:
-        coords = coords / np.sqrt(deg)[:, None]
-    return Embedding(coords, "sym_scaled" if scaled else "sym", es_sym.eigenvalues[1 : k + 1].copy())
+    emb = embed_nonconstant(es_sym, k, tolerance=tolerance, variant="sym")
+    if not scaled:
+        return emb
+    return Embedding(emb.coordinates / np.sqrt(deg)[:, None], "sym_scaled", emb.source_eigenvalues)
 
 
 def eigenvalue_scale(e: Embedding) -> Embedding:

@@ -1,4 +1,7 @@
-"""Weighted similarity graphs and a union-find components oracle.
+"""Weighted similarity graphs and their connected components.
+
+The component labeling also splits the eigensolver's matrices into blocks,
+so one routine answers "which vertices are connected" for both.
 
 All builders produce dense n x n matrices that are exactly symmetric by
 construction (every pair term is computed the same way in both orders), with
@@ -205,29 +208,26 @@ def build_epsilon_graph(
     return _from_weights(w)
 
 
-class _UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
+def _component_labels(linked: np.ndarray) -> np.ndarray:
+    """Component ids of a symmetric boolean adjacency, in order of first vertex.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
+    Min-label propagation in whole-array rounds, with the hooking and pointer
+    jumping of Shiloach & Vishkin (J. Algorithms 3, 1982): each vertex takes
+    the lowest label it or a neighbour holds, each label the lowest one its
+    vertices see, and then each label its own label's.  Labels only fall and
+    always name a vertex of the same component, so they settle on its lowest index.
+    """
+    n = linked.shape[0]
+    label = np.arange(n)
+    while True:
+        # initial=n: a 0-vertex graph has no rows to take a minimum over
+        low = np.where(linked, label, n).min(axis=1, initial=n)
+        step = np.minimum(label, low)
+        np.minimum.at(step, label, low)
+        step = step[step]
+        if np.array_equal(step, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = step
 
 
 def connected_components(g: WeightedGraph) -> ComponentLabeling:
@@ -236,18 +236,5 @@ def connected_components(g: WeightedGraph) -> ComponentLabeling:
     Ids are assigned in order of first vertex occurrence, so vertex 0 is
     always in component 0.
     """
-    n = g.n
-    uf = _UnionFind(n)
-    rows, cols = np.nonzero(np.triu(g.weights, 1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        uf.union(i, j)
-    labels = np.empty(n, dtype=int)
-    next_id = 0
-    root_to_id: dict[int, int] = {}
-    for v in range(n):
-        root = uf.find(v)
-        if root not in root_to_id:
-            root_to_id[root] = next_id
-            next_id += 1
-        labels[v] = root_to_id[root]
-    return ComponentLabeling(labels, next_id)
+    labels = _component_labels(g.weights > 0.0)
+    return ComponentLabeling(labels, int(labels.max(initial=-1)) + 1)

@@ -69,8 +69,9 @@ def zero_eigenvalue_multiplicity(eigenvalues, tolerance: float = 1e-8) -> int:
     """Count eigenvalues <= tolerance * max(lambda_max, 1).
 
     The threshold is relative to the largest eigenvalue with floor 1, so the
-    count is invariant under rescaling the graph weights.  Input must be
-    ascending, as produced by the eigensolver.
+    count is invariant under rescaling the graph weights only while
+    lambda_max stays >= 1; below that the threshold is `tolerance` itself.
+    Input must be ascending, as produced by the eigensolver.
     """
     ev = np.asarray(eigenvalues, dtype=float)
     if np.any(np.diff(ev) < 0):

@@ -63,7 +63,7 @@ def test_criterion_1_component_count():
             agree += 1
     elapsed = time.perf_counter() - start
     ok = agree == trials and elapsed < 10.0
-    _verdict(1, ok, f"zero multiplicity == union-find == BFS on {agree}/{trials} "
+    _verdict(1, ok, f"zero multiplicity == component labeling == BFS on {agree}/{trials} "
                     f"graphs (n<=12, 1-4 components, tol 1e-8); {elapsed:.2f} s (< 10 s)")
     assert ok
 

@@ -389,6 +389,7 @@ def test_cluster_gate_reads_eigen_multiplicity(
     if mult != 1:
         assert rc == 1
         assert f"multiplicity is {mult}" in err
+        assert "not connected" in err
     else:
         # the unnormalized run's column-sum bound widens as the Fiedler gap
         # shrinks, so at this gap it clusters as sym and rw do

@@ -288,6 +288,13 @@ def test_block_split_finds_the_blocks_grouped_by_size():
     assert [g.shape for g in groups] == [(1, 1), (1, 2), (2, 5), (1, 9)]
     found = sorted(tuple(row) for g in groups for row in g.tolist())
     assert found == sorted(tuple(m.tolist()) for m in members)
+    # blocks {0, 4, 7}, {1, 6}, {2, 5} and {3}, each linked by a chain that
+    # skips over the others; a nonzero diagonal links nothing
+    mat = np.diag(np.arange(1.0, 9.0))
+    for i, j in ((7, 0), (0, 4), (6, 1), (2, 5)):
+        mat[i, j] = mat[j, i] = -1.0
+    groups = speclust.eigen._connected_blocks(mat)
+    assert [g.tolist() for g in groups] == [[[3]], [[1, 6], [2, 5]], [[0, 4, 7]]]
 
 
 def test_block_split_eigensystem():

@@ -11,7 +11,6 @@ from speclust import (
     cli,
     covariance_objective,
     eig_symmetric,
-    eigenvalue_scale,
     embed_classical,
     embed_nonconstant,
     embed_normalized,
@@ -22,6 +21,7 @@ from speclust import (
     pairwise_dissimilarity,
     zero_eigenvalue_multiplicity,
 )
+from speclust.embedding import eigenvalue_scale
 
 
 def _graph(w):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import speclust.graph
-from generators import random_weights
+from generators import multi_component_weights, random_weights
 from oracles import bfs_components, knn_adjacency
 from speclust import (
     Dataset,
@@ -217,11 +217,28 @@ def test_components_block_structure():
 
 def test_components_agree_with_bfs_oracle():
     rng = np.random.default_rng(7)
-    for _ in range(1000):
-        n = int(rng.integers(2, 13))
-        w = random_weights(rng, n, zero_fraction=float(rng.uniform(0.2, 0.9)))
-        g = WeightedGraph(weights=w, degrees=w.sum(axis=1))
-        ours = connected_components(g)
+    cases = [random_weights(rng, int(rng.integers(2, 13)), zero_fraction=float(rng.uniform(0.2, 0.9)))
+             for _ in range(1000)]
+    # inputs those small random graphs never reach
+    path = np.zeros((60, 60))
+    order = rng.permutation(60)
+    path[order[:-1], order[1:]] = path[order[1:], order[:-1]] = 1.0  # diameter 59
+    lone = random_weights(rng, 15, zero_fraction=0.5)
+    lone[[2, 7, 11]] = 0.0
+    lone[:, [2, 7, 11]] = 0.0
+    tiny = np.zeros((4, 4))
+    tiny[0, 3] = tiny[3, 0] = 5e-324  # the smallest subnormal is still an edge
+    cases += [path, lone, tiny, np.zeros((2, 2)), np.ones((2, 2)), np.diag([0.0, 3.0])]
+    for c in (1, 2, 5, 9):
+        w, _ = multi_component_weights(rng, 40, c)
+        perm = rng.permutation(40)
+        cases.append(w[np.ix_(perm, perm)])
+    # shifted-dot graphs carry positive self-loops on the diagonal
+    loops = random_weights(rng, 12, zero_fraction=0.7)
+    np.fill_diagonal(loops, rng.uniform(0.5, 2.0, size=12))
+    cases.append(loops)
+    for w in cases:
+        ours = connected_components(WeightedGraph(weights=w, degrees=w.sum(axis=1)))
         labels, count = bfs_components(w)
         assert ours.component_count == count
         np.testing.assert_array_equal(ours.labels, labels)
