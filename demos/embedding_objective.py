@@ -21,7 +21,6 @@ from speclust import (
     laplacian_sym,
     laplacian_unnormalized,
 )
-from speclust.embedding import eigenvalue_scale
 
 rng = np.random.default_rng(5)
 points = rng.normal(size=(12, 3))
@@ -66,6 +65,6 @@ scaled_rows = embed_normalized(es_s, graph.degrees, 2, scaled=True).coordinates
 print(f"scaled=True rows are the objective's z bit for bit: {np.array_equal(scaled_rows, z)}")
 
 # optional post-scaling by 1/sqrt(eigenvalue) equalizes column energies
-scaled = eigenvalue_scale(embedding)
-norms = np.linalg.norm(scaled.coordinates, axis=0)
+scaled = embedding.coordinates / np.sqrt(es.eigenvalues[1:3])
+norms = np.linalg.norm(scaled, axis=0)
 print(f"eigenvalue-scaled column norms: {np.array2string(norms, precision=4)}")

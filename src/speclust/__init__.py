@@ -7,19 +7,16 @@ on standardized data the shifted-dot-product graph makes the pipeline
 coincide with PCA, and `pca_equivalence_report` checks that numerically.
 """
 
-from .cluster import ClusterResult, Lcg64, adjusted_rand_index, align_labels, kmeans
+from .cluster import ClusterResult, Lcg64, adjusted_rand_index, kmeans
 from .data import Dataset, center_columns, load_csv, scale_global, standardize
 from .eigen import ConvergenceError, EigenSystem, eig_rw, eig_symmetric
 from .embedding import (
     Embedding,
-    IndicatorCheckResult,
     ObjectiveReport,
     covariance_objective,
     embed_classical,
     embed_nonconstant,
     embed_normalized,
-    indicator_check,
-    pairwise_dissimilarity,
 )
 from .graph import (
     ComponentLabeling,
@@ -53,14 +50,12 @@ __all__ = [
     "EigenSystem",
     "Embedding",
     "EquivalenceReport",
-    "IndicatorCheckResult",
     "LaplacianMatrix",
     "Lcg64",
     "ObjectiveReport",
     "PcaModel",
     "WeightedGraph",
     "adjusted_rand_index",
-    "align_labels",
     "build_epsilon_graph",
     "build_full_graph",
     "build_knn_graph",
@@ -72,13 +67,11 @@ __all__ = [
     "embed_classical",
     "embed_nonconstant",
     "embed_normalized",
-    "indicator_check",
     "kmeans",
     "laplacian_rw",
     "laplacian_sym",
     "laplacian_unnormalized",
     "load_csv",
-    "pairwise_dissimilarity",
     "pca_equivalence_report",
     "pca_topk",
     "scale_global",

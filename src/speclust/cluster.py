@@ -1,4 +1,4 @@
-"""k-means on embedding rows, plus label-agreement metrics.
+"""k-means on embedding rows, plus the adjusted Rand index.
 
 The generator behind k-means++ is pinned down exactly (see Lcg64) so that a
 reimplementation in another language can reproduce a run from the seed alone.
@@ -7,7 +7,6 @@ Nothing here consults global RNG state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,10 +53,6 @@ class ClusterResult:
     def __post_init__(self):
         self.labels.setflags(write=False)
         self.centroids.setflags(write=False)
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
 
 
 def _plus_plus_init(pair_d2: np.ndarray, k: int, rng: Lcg64) -> list[int]:
@@ -200,35 +195,3 @@ def adjusted_rand_index(a, b) -> float:
         # singletons), which only happens when they are identical
         return 1.0
     return float((index - expected) / (max_index - expected))
-
-
-def align_labels(pred, truth) -> np.ndarray:
-    """Relabel pred by the permutation of its label set maximizing agreement.
-
-    Exhaustive over all k! permutations, so the shared label-set cardinality
-    is capped at 10.
-    """
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError(
-            f"label vectors must share one length, got {pred.shape} and {truth.shape}"
-        )
-    pred_ids = np.unique(pred)
-    truth_ids = np.unique(truth)
-    if len(pred_ids) != len(truth_ids):
-        raise ValueError(
-            f"label sets differ in cardinality: {len(pred_ids)} vs {len(truth_ids)}"
-        )
-    if len(pred_ids) > 10:
-        raise ValueError(f"refusing exhaustive search over {len(pred_ids)}! permutations")
-
-    best_perm = None
-    best_hits = -1
-    for perm in itertools.permutations(truth_ids):
-        mapping = dict(zip(pred_ids, perm))
-        hits = sum(1 for p, t in zip(pred, truth) if mapping[p] == t)
-        if hits > best_hits:
-            best_hits = hits
-            best_perm = mapping
-    return np.array([best_perm[p] for p in pred])

@@ -10,10 +10,6 @@ coordinate matrix Y, is
 
 and `covariance_objective` evaluates both sides independently so the
 identity is a runtime-checkable oracle, not a hand-wave.
-
-For a graph with c > 1 components, the first c eigenvectors span the
-component indicators instead; `indicator_check` verifies that block
-structure on an embedding.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import OFFDIAG_REL_TOL, EigenSystem
-from .graph import ComponentLabeling, WeightedGraph, _squared_distances
+from .graph import WeightedGraph, _squared_distances
 from .laplacian import LaplacianMatrix, zero_eigenvalue_multiplicity
 
 VARIANTS = ("nonconstant", "classical", "sym", "sym_scaled", "rw")
@@ -35,7 +31,6 @@ class Embedding:
 
     coordinates: np.ndarray
     variant: str
-    source_eigenvalues: np.ndarray
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -44,15 +39,6 @@ class Embedding:
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k} with n={n}")
         self.coordinates.setflags(write=False)
-        self.source_eigenvalues.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.coordinates.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.coordinates.shape[1]
 
 
 @dataclass(frozen=True)
@@ -69,13 +55,6 @@ class ObjectiveReport:
     trace_term: float
     constant_term: float
     identity_gap: float
-
-
-@dataclass(frozen=True)
-class IndicatorCheckResult:
-    passed: bool
-    max_intra_spread: float
-    min_inter_gap: float
 
 
 def _coords(y) -> np.ndarray:
@@ -116,9 +95,11 @@ def embed_nonconstant(
 
     Requires a connected graph's Laplacian (one zero eigenvalue, counted by
     zero_eigenvalue_multiplicity at `tolerance`); on a multi-component graph
-    the leading eigenvectors are component indicators and the caller should
-    take that path explicitly via embed_classical.  Pass variant="sym" or
-    "rw" for an L_sym or eig_rw eigensystem, whose columns are not zero-sum.
+    the leading eigenvectors are component indicators, and the error points
+    to the classical embedding with k = the multiplicity (`--embedding
+    classical --k <multiplicity>` on the command line), which reads them off.
+    Pass variant="sym" or "rw" for an L_sym or eig_rw eigensystem, whose
+    columns are not zero-sum.
     """
     n = len(es.eigenvalues)
     _check_k(k, n - 1, "a nonconstant embedding")
@@ -126,8 +107,9 @@ def embed_nonconstant(
     if mult != 1:
         raise ValueError(
             f"zero eigenvalue multiplicity is {mult}, not 1; the graph is not "
-            "connected. Use embed_classical with k = component count to read "
-            "off the component indicators."
+            f"connected. Use the classical embedding with k = {mult} "
+            f"(--embedding classical --k {mult}) to read off the component "
+            "indicators."
         )
     coords = es.eigenvectors[:, 1 : k + 1].copy()
     if variant == "nonconstant":
@@ -141,14 +123,14 @@ def embed_nonconstant(
                 f"exceeds the solver's bound {bound:.3e} at gap "
                 f"{es.eigenvalues[1] - es.eigenvalues[0]:.3e}"
             )
-    return Embedding(coords, variant, es.eigenvalues[1 : k + 1].copy())
+    return Embedding(coords, variant)
 
 
 def embed_classical(es: EigenSystem, k: int) -> Embedding:
     """Columns 0..k-1, keeping the constant eigenvector."""
     n = len(es.eigenvalues)
     _check_k(k, n, "a classical embedding")
-    return Embedding(es.eigenvectors[:, :k].copy(), "classical", es.eigenvalues[:k].copy())
+    return Embedding(es.eigenvectors[:, :k].copy(), "classical")
 
 
 def embed_normalized(
@@ -165,25 +147,7 @@ def embed_normalized(
     emb = embed_nonconstant(es_sym, k, tolerance=tolerance, variant="sym")
     if not scaled:
         return emb
-    return Embedding(emb.coordinates / np.sqrt(deg)[:, None], "sym_scaled", emb.source_eigenvalues)
-
-
-def eigenvalue_scale(e: Embedding) -> Embedding:
-    """Divide each column by sqrt of its eigenvalue.
-
-    Alternative scaling that weights coordinates by inverse eigenvalue
-    magnitude instead of vertex degree; offered separately because the two
-    conventions disagree and neither subsumes the other.
-    """
-    if np.any(e.source_eigenvalues <= 0.0):
-        raise ValueError("eigenvalue scaling needs strictly positive eigenvalues")
-    coords = e.coordinates / np.sqrt(e.source_eigenvalues)[None, :]
-    return Embedding(coords, e.variant, e.source_eigenvalues)
-
-
-def pairwise_dissimilarity(y) -> np.ndarray:
-    """d_ij = ||y_i - y_j||^2, symmetric with zero diagonal."""
-    return _squared_distances(_coords(y))
+    return Embedding(emb.coordinates / np.sqrt(deg)[:, None], "sym_scaled")
 
 
 def covariance_objective(y, g: WeightedGraph, lap: LaplacianMatrix) -> ObjectiveReport:
@@ -210,7 +174,7 @@ def covariance_objective(y, g: WeightedGraph, lap: LaplacianMatrix) -> Objective
             f"objective is defined for unnormalized/sym Laplacians, got {lap.variant!r}"
         )
 
-    d = pairwise_dissimilarity(rows)
+    d = _squared_distances(rows)
     w = g.weights
     dbar = d.mean()
     wbar = w.mean()
@@ -222,30 +186,3 @@ def covariance_objective(y, g: WeightedGraph, lap: LaplacianMatrix) -> Objective
     constant_term = (wbar / n) * (n * (rows**2).sum() - (col_sum * col_sum).sum())
     gap = abs(covariance - trace_term - constant_term)
     return ObjectiveReport(float(covariance), float(trace_term), float(constant_term), float(gap))
-
-
-def indicator_check(
-    y, labeling: ComponentLabeling, tolerance: float = 1e-7
-) -> IndicatorCheckResult:
-    """Verify that embedding rows are constant per component and distinct across.
-
-    Passes iff every within-component row pair agrees within `tolerance` and
-    every cross-component row pair is at least 10 * tolerance apart.  The
-    embedding must have one column per component (embed_classical with
-    k = component count).
-    """
-    coords = _coords(y)
-    c = labeling.component_count
-    if coords.shape[1] != c:
-        raise ValueError(
-            f"embedding has {coords.shape[1]} columns but the graph has {c} components"
-        )
-    labels = labeling.labels
-    dist = np.sqrt(pairwise_dissimilarity(coords))
-    same = labels[:, None] == labels[None, :]
-    np.fill_diagonal(same, False)
-    max_intra = float(dist[same].max()) if same.any() else 0.0
-    cross = labels[:, None] != labels[None, :]
-    min_inter = float(dist[cross].min()) if cross.any() else np.inf
-    passed = max_intra <= tolerance and min_inter >= 10.0 * tolerance
-    return IndicatorCheckResult(passed, max_intra, min_inter)

@@ -20,7 +20,6 @@ VARIANTS = ("unnormalized", "sym", "rw")
 class LaplacianMatrix:
     matrix: np.ndarray
     variant: str
-    degrees: np.ndarray
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -28,10 +27,6 @@ class LaplacianMatrix:
         m = np.asarray(self.matrix, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _require_positive_degrees(g: WeightedGraph) -> None:
@@ -47,7 +42,7 @@ def _require_positive_degrees(g: WeightedGraph) -> None:
 def laplacian_unnormalized(g: WeightedGraph) -> LaplacianMatrix:
     """L = D - W."""
     lap = np.diag(g.degrees) - g.weights
-    return LaplacianMatrix(lap, "unnormalized", g.degrees)
+    return LaplacianMatrix(lap, "unnormalized")
 
 
 def laplacian_sym(g: WeightedGraph) -> LaplacianMatrix:
@@ -55,14 +50,14 @@ def laplacian_sym(g: WeightedGraph) -> LaplacianMatrix:
     _require_positive_degrees(g)
     inv_sqrt = 1.0 / np.sqrt(g.degrees)
     lap = (np.diag(g.degrees) - g.weights) * np.outer(inv_sqrt, inv_sqrt)
-    return LaplacianMatrix(lap, "sym", g.degrees)
+    return LaplacianMatrix(lap, "sym")
 
 
 def laplacian_rw(g: WeightedGraph) -> LaplacianMatrix:
     """L_rw = D^{-1} L. Row sums are zero; the matrix is not symmetric."""
     _require_positive_degrees(g)
     lap = (np.diag(g.degrees) - g.weights) / g.degrees[:, None]
-    return LaplacianMatrix(lap, "rw", g.degrees)
+    return LaplacianMatrix(lap, "rw")
 
 
 def zero_eigenvalue_multiplicity(eigenvalues, tolerance: float = 1e-8) -> int:

@@ -52,10 +52,6 @@ class PcaModel:
         self.components.setflags(write=False)
         self.eigenvalues.setflags(write=False)
 
-    @property
-    def k(self) -> int:
-        return self.components.shape[1]
-
 
 @dataclass(frozen=True)
 class EquivalenceReport:

@@ -4,18 +4,21 @@ Nothing here imports from speclust: the point is a second, dumber route to
 the same answers.  The eigensolver oracle is shifted power iteration with
 deflation; the Jacobi kernel reference is the element-by-element loop of
 the round-robin schedule that the vectorized kernel must reproduce bit for
-bit; the component oracle is breadth-first search over positive weights;
-the PCA Laplacian is the closed form of the shifted-dot graph's Laplacian,
-written without any graph; sample-space PCA is LAPACK's `eigh` on the Gram
-matrix.  The CSV loader, the kNN neighbour choice, k-means and the
-eigenvector sign rule are copies of earlier one-cell, one-row, one-pick and
-one-column loops that the whole-array code must reproduce bit for bit.
+bit; the component oracle is breadth-first search over positive weights,
+and the component-indicator check measures embedding rows by broadcast
+differences, not by the package's distance helper; the PCA Laplacian is the
+closed form of the shifted-dot graph's Laplacian, written without any graph;
+sample-space PCA is LAPACK's `eigh` on the Gram matrix.  The CSV loader,
+the kNN neighbour choice, k-means and the eigenvector sign rule are copies
+of earlier one-cell, one-row, one-pick and one-column loops that the
+whole-array code must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,6 +220,39 @@ def bfs_components(weights):
                     queue.append(j)
         count += 1
     return labels, count
+
+
+@dataclass(frozen=True)
+class IndicatorCheckResult:
+    passed: bool
+    max_intra_spread: float
+    min_inter_gap: float
+
+
+def indicator_check(coords, labeling, tolerance=1e-7):
+    """Whether embedding rows are constant per component and distinct across.
+
+    Passes iff every within-component row pair lies within `tolerance` and
+    every cross-component row pair at least 10 * tolerance apart, in
+    Euclidean distance.  `labeling` has `labels` and `component_count`; the
+    embedding must have one column per component (the classical embedding
+    with k = component count).
+    """
+    coords = np.asarray(coords, dtype=float)
+    c = labeling.component_count
+    if coords.shape[1] != c:
+        raise ValueError(
+            f"embedding has {coords.shape[1]} columns but the graph has {c} components"
+        )
+    labels = np.asarray(labeling.labels)
+    dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    max_intra = float(dist[same].max()) if same.any() else 0.0
+    cross = labels[:, None] != labels[None, :]
+    min_inter = float(dist[cross].min()) if cross.any() else np.inf
+    passed = max_intra <= tolerance and min_inter >= 10.0 * tolerance
+    return IndicatorCheckResult(passed, max_intra, min_inter)
 
 
 def scalar_load_csv(path, has_header=False, delimiter=","):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import platform
@@ -390,6 +391,7 @@ def test_cluster_gate_reads_eigen_multiplicity(
         assert rc == 1
         assert f"multiplicity is {mult}" in err
         assert "not connected" in err
+        assert f"--embedding classical --k {mult}" in err
     else:
         # the unnormalized run's column-sum bound widens as the Fiedler gap
         # shrinks, so at this gap it clusters as sym and rw do
@@ -397,6 +399,50 @@ def test_cluster_gate_reads_eigen_multiplicity(
         report = json.loads((out / "report.json").read_text())
         assert (report["zero_multiplicity"], report["branch"]) == (1, "connected")
         assert adjusted_rand_index(_read_labels(out / "labels.csv"), truth) == 1.0
+
+
+# (seed, op) pairs of the benchmark's cluster-dense workload whose three
+# generated blobs put exactly one point nearer a foreign blob centre
+AMBIGUOUS_DENSE_OPS = [
+    (2, 187), (4, 659), (5, 295), (7, 188), (9, 788), (12, 572),
+    (17, 759), (21, 1168), (34, 1132), (35, 668), (36, 1132),
+]
+
+
+@pytest.mark.parametrize("seed, op", AMBIGUOUS_DENSE_OPS)
+def test_cluster_puts_a_point_nearer_a_foreign_centre_with_that_centre(tmp_path, seed, op):
+    # the cluster-dense input, regenerated: three blobs around the first three
+    # axes of R^4 at 2.0, sigma 0.3, the Laplacian cycling with the op index
+    rng = np.random.default_rng([seed, 1, op])
+    centres = 2.0 * np.eye(3, 4)
+    pts = np.vstack([rng.normal(0.0, 0.3, (20, 4)) + c for c in centres])
+    laplacian = ("unnormalized", "sym", "rw")[op % 3]
+    kmeans_seed = int(rng.integers(0, 2**31))
+    generated = np.repeat(np.arange(3), 20)
+    nearest = np.argmin(((pts[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2), axis=1)
+    assert np.count_nonzero(nearest != generated) == 1
+
+    csv = tmp_path / "dense.csv"
+    write_points_csv(csv, pts)
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["cluster", "--input", str(csv), "--graph", "full", "--kernel", "rbf",
+         "--delta", "1.0", "--laplacian", laplacian, "--embedding", "classical",
+         "--k", "3", "--seed", str(kmeans_seed), "--out", str(out)]
+    )
+    assert rc == 0
+    assert adjusted_rand_index(_read_labels(out / "labels.csv"), nearest) == 1.0
+
+
+def test_package_all_lists_exactly_the_public_names():
+    names = speclust.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(speclust, name) for name in names)
+    bound = {
+        name for name, obj in vars(speclust).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert set(names) == bound
 
 
 def test_config_file_supplies_flags(tmp_path):

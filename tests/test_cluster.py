@@ -4,7 +4,7 @@ import pytest
 import speclust.cluster
 from generators import blobs
 from oracles import scalar_kmeans
-from speclust import Lcg64, adjusted_rand_index, align_labels, cli, kmeans
+from speclust import Lcg64, adjusted_rand_index, cli, kmeans
 
 MULT = 6364136223846793005
 INC = 1442695040888963407
@@ -150,38 +150,6 @@ def test_ari_partial_agreement_bounded():
 def test_ari_trivial_sizes():
     assert adjusted_rand_index(np.array([0]), np.array([0])) == 1.0
     assert adjusted_rand_index(np.array([], dtype=int), np.array([], dtype=int)) == 1.0
-
-
-def test_align_labels_simple_swap():
-    pred = np.array([1, 1, 0])
-    ref = np.array([0, 0, 1])
-    np.testing.assert_array_equal(align_labels(pred, ref), [0, 0, 1])
-
-
-def test_align_labels_identity_when_already_aligned():
-    labels = np.array([0, 1, 2, 0])
-    np.testing.assert_array_equal(align_labels(labels, labels), labels)
-
-
-def test_align_labels_never_reduces_agreement():
-    rng = np.random.default_rng(46)
-    for _ in range(20):
-        ref = rng.integers(0, 4, size=25)
-        perm = rng.permutation(4)
-        pred = perm[ref]
-        aligned = align_labels(pred, ref)
-        np.testing.assert_array_equal(aligned, ref)
-
-
-def test_align_labels_rejects_mismatched_cardinality():
-    with pytest.raises(ValueError):
-        align_labels(np.array([0, 1, 2]), np.array([0, 0, 1]))
-
-
-def test_align_labels_refuses_large_k():
-    pred = np.arange(11)
-    with pytest.raises(ValueError, match="11"):
-        align_labels(pred, pred)
 
 
 def test_write_labels_format(tmp_path):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from generators import connected_weights, multi_component_weights, random_weights
-from oracles import bfs_components
+from oracles import bfs_components, indicator_check
 from speclust import (
     ComponentLabeling,
     EigenSystem,
-    Embedding,
     WeightedGraph,
     cli,
     covariance_objective,
@@ -14,14 +13,12 @@ from speclust import (
     embed_classical,
     embed_nonconstant,
     embed_normalized,
-    indicator_check,
     kmeans,
     laplacian_sym,
     laplacian_unnormalized,
-    pairwise_dissimilarity,
     zero_eigenvalue_multiplicity,
 )
-from speclust.embedding import eigenvalue_scale
+from speclust.graph import _squared_distances
 
 
 def _graph(w):
@@ -40,7 +37,7 @@ def test_nonconstant_path_graph_fiedler():
     r = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(np.abs(emb.coordinates[:, 0]), [r, 0.0, r], atol=1e-9)
     assert abs(emb.coordinates.sum()) <= 1e-8
-    np.testing.assert_allclose(emb.source_eigenvalues, [1.0], atol=1e-12)
+    np.testing.assert_allclose(es.eigenvalues[1:2], [1.0], atol=1e-12)
 
 
 def test_nonconstant_full_dimension_spans_one_complement():
@@ -149,18 +146,18 @@ def test_normalized_scaled_rows_match_definition():
 
 def test_pairwise_identical_rows():
     y = np.ones((4, 2))
-    np.testing.assert_array_equal(pairwise_dissimilarity(y), np.zeros((4, 4)))
+    np.testing.assert_array_equal(_squared_distances(y), np.zeros((4, 4)))
 
 
 def test_pairwise_one_dimensional():
-    d = pairwise_dissimilarity(np.array([[0.0], [3.0]]))
+    d = _squared_distances(np.array([[0.0], [3.0]]))
     np.testing.assert_array_equal(d, [[0.0, 9.0], [9.0, 0.0]])
 
 
 def test_pairwise_expansion_identity():
     rng = np.random.default_rng(27)
     y = rng.normal(size=(8, 3))
-    d = pairwise_dissimilarity(y)
+    d = _squared_distances(y)
     norms = (y**2).sum(axis=1)
     expansion = norms[:, None] + norms[None, :] - 2.0 * y @ y.T
     assert np.abs(d - expansion).max() <= 1e-12
@@ -235,7 +232,8 @@ def test_indicator_check_two_disjoint_edges():
     es = eig_symmetric(laplacian_unnormalized(_graph(w)).matrix)
     emb = embed_classical(es, 2)
     labels, count = bfs_components(w)
-    result = indicator_check(emb, ComponentLabeling(labels=labels, component_count=count))
+    labeling = ComponentLabeling(labels=labels, component_count=count)
+    result = indicator_check(emb.coordinates, labeling)
     assert result.passed
     assert result.max_intra_spread <= 1e-7
     assert result.min_inter_gap >= 1e-6
@@ -249,7 +247,7 @@ def test_indicator_check_fails_on_connected_graph():
     es = eig_symmetric(laplacian_unnormalized(_graph(w)).matrix)
     emb = embed_classical(es, 2)
     fake = ComponentLabeling(labels=np.array([0, 0, 1, 1]), component_count=2)
-    result = indicator_check(emb, fake)
+    result = indicator_check(emb.coordinates, fake)
     assert not result.passed
     assert result.max_intra_spread > 1e-7
 
@@ -269,7 +267,8 @@ def test_indicator_check_blocks_recovered_by_clustering():
     es = eig_symmetric(laplacian_unnormalized(_graph(w)).matrix)
     emb = embed_classical(es, 3)
     labels, count = bfs_components(w)
-    assert indicator_check(emb, ComponentLabeling(labels=labels, component_count=count)).passed
+    labeling = ComponentLabeling(labels=labels, component_count=count)
+    assert indicator_check(emb.coordinates, labeling).passed
     from speclust import adjusted_rand_index
 
     res = kmeans(emb.coordinates, 3, seed=0)
@@ -284,7 +283,7 @@ def test_indicator_check_rejects_wrong_width():
     emb = embed_classical(es, 1)
     labels, count = bfs_components(w)
     with pytest.raises(ValueError, match="components"):
-        indicator_check(emb, ComponentLabeling(labels=labels, component_count=count))
+        indicator_check(emb.coordinates, ComponentLabeling(labels=labels, component_count=count))
 
 
 def test_rayleigh_ritz_optimality_small():
@@ -300,26 +299,6 @@ def test_rayleigh_ritz_optimality_small():
         q -= ones @ (ones.T @ q)
         q, _ = np.linalg.qr(q)
         assert np.trace(q.T @ lap.matrix @ q) >= best - 1e-9
-
-
-def test_eigenvalue_scale():
-    rng = np.random.default_rng(36)
-    w = connected_weights(rng, 5)
-    es = eig_symmetric(laplacian_unnormalized(_graph(w)).matrix)
-    emb = embed_nonconstant(es, 2)
-    scaled = eigenvalue_scale(emb)
-    manual = emb.coordinates / np.sqrt(emb.source_eigenvalues)[None, :]
-    np.testing.assert_array_equal(scaled.coordinates, manual)
-
-
-def test_eigenvalue_scale_rejects_zero_eigenvalue():
-    emb = Embedding(
-        coordinates=np.ones((3, 1)) / np.sqrt(3.0),
-        variant="classical",
-        source_eigenvalues=np.array([0.0]),
-    )
-    with pytest.raises(ValueError):
-        eigenvalue_scale(emb)
 
 
 def test_zero_multiplicity_matches_component_count_spot_check():

@@ -15,7 +15,6 @@ from speclust import (
     build_knn_graph,
     center_columns,
     connected_components,
-    pairwise_dissimilarity,
     scale_global,
 )
 from speclust.graph import _rbf_weights, _squared_distances
@@ -148,7 +147,7 @@ def test_squared_distances_match_the_broadcast_expressions(k):
     for n in (1, 2, 17, 300):
         rows = rng.normal(size=(n, k))
         diff = rows[:, None, :] - rows[None, :, :]
-        assert np.array_equal(pairwise_dissimilarity(rows), np.einsum("ijk,ijk->ij", diff, diff))
+        assert np.array_equal(_squared_distances(rows), np.einsum("ijk,ijk->ij", diff, diff))
         for c in (1, 3, 40):
             centroids = rng.normal(size=(c, k))
             diff = rows[:, None, :] - centroids[None, :, :]
