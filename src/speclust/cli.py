@@ -7,8 +7,11 @@ Three subcommands:
     speclust pca-equiv --input X.csv --k 2 --out DIR
     speclust eigen     --input X.csv --graph epsilon --eps 0.5 --kernel unit --out DIR
 
-Flags may also come from a key=value config file (--config); explicit flags
-win.  Exit codes: 0 success, 1 validation failure (a bad command line
+A --config file holds long flags of its subcommand, one `key = value` per
+line (`#` comments; `header = true|false|1|0`).  Its lines become flags
+parsed ahead of the command line's, by the same parser, so they get the
+flags' types, choices and defaults, and explicit flags win.  Exit codes:
+0 success, 1 validation failure (a bad command line or config file
 included), 2 numerical failure, 3 equivalence-check failure.  All artifact
 files are byte-identical across runs for the same config and seed;
 wall-clock timings go to stdout only, so they never perturb the artifacts.
@@ -31,9 +34,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import NamedTuple, get_args, get_type_hints
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,52 +71,28 @@ EMBEDDINGS = ("nonconstant", "classical")
 KMEANS_RESTARTS = 10
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    input_path: str
-    k: int
-    has_header: bool = False
-    delimiter: str = ","
-    graph: str = "full"
-    kernel: str = "rbf"
-    delta: float | None = None
-    eps: float | None = None
-    knn: int | None = None
-    laplacian: str = "unnormalized"
-    embedding: str = "nonconstant"
-    seed: int = 0
-    output_dir: str = "."
-    zero_tol: float = 1e-8
-
-    def validate(self) -> None:
-        for name in ("delta", "eps", "zero_tol"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name.replace('_', '-')} must be finite, got {value}")
-        if self.graph not in GRAPHS:
-            raise ValueError(f"graph must be one of {GRAPHS}, got {self.graph!r}")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if self.laplacian not in LAPLACIANS:
-            raise ValueError(f"laplacian must be one of {LAPLACIANS}, got {self.laplacian!r}")
-        if self.embedding not in EMBEDDINGS:
-            raise ValueError(f"embedding must be one of {EMBEDDINGS}, got {self.embedding!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.kernel == "rbf" and (self.delta is None or self.delta <= 0.0):
-            raise ValueError("the rbf kernel needs --delta > 0")
-        if self.graph == "epsilon" and (self.eps is None or self.eps <= 0.0):
-            raise ValueError("the epsilon graph needs --eps > 0")
-        if self.graph == "knn" and (self.knn is None or self.knn < 1):
-            raise ValueError("the knn graph needs --knn >= 1")
-        if self.graph == "full" and self.kernel == "unit":
-            raise ValueError("the full graph takes kernel rbf or shifted_dot")
-        if self.graph == "knn" and self.kernel != "rbf":
-            raise ValueError("the knn graph uses rbf weights; set --kernel rbf")
-        if self.graph == "epsilon" and self.kernel == "shifted_dot":
-            raise ValueError("the epsilon graph takes kernel unit or rbf")
-        if self.zero_tol <= 0.0:
-            raise ValueError(f"zero-tol must be positive, got {self.zero_tol}")
+def _validate(cfg: argparse.Namespace) -> None:
+    """The checks between flags; argparse checks each flag's type and choices."""
+    for name in ("delta", "eps", "zero_tol"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name.replace('_', '-')} must be finite, got {value}")
+    if "k" in cfg and cfg.k < 1:  # eigen has no --k
+        raise ValueError(f"k must be at least 1, got {cfg.k}")
+    if cfg.kernel == "rbf" and (cfg.delta is None or cfg.delta <= 0.0):
+        raise ValueError("the rbf kernel needs --delta > 0")
+    if cfg.graph == "epsilon" and (cfg.eps is None or cfg.eps <= 0.0):
+        raise ValueError("the epsilon graph needs --eps > 0")
+    if cfg.graph == "knn" and (cfg.knn is None or cfg.knn < 1):
+        raise ValueError("the knn graph needs --knn >= 1")
+    if cfg.graph == "full" and cfg.kernel == "unit":
+        raise ValueError("the full graph takes kernel rbf or shifted_dot")
+    if cfg.graph == "knn" and cfg.kernel != "rbf":
+        raise ValueError("the knn graph uses rbf weights; set --kernel rbf")
+    if cfg.graph == "epsilon" and cfg.kernel == "shifted_dot":
+        raise ValueError("the epsilon graph takes kernel unit or rbf")
+    if cfg.zero_tol <= 0.0:
+        raise ValueError(f"zero-tol must be positive, got {cfg.zero_tol}")
 
 
 class _Spectrum(NamedTuple):
@@ -128,7 +106,7 @@ class _Spectrum(NamedTuple):
     multiplicity: int
 
 
-def _spectrum(cfg: PipelineConfig, timer: _Timer) -> _Spectrum:
+def _spectrum(cfg: argparse.Namespace, timer: _Timer) -> _Spectrum:
     """Load, build the graph and Laplacian, solve once, count zeros at cfg.zero_tol."""
     dataset = load_csv(cfg.input_path, has_header=cfg.has_header, delimiter=cfg.delimiter)
     timer.mark("load")
@@ -156,7 +134,7 @@ def _spectrum(cfg: PipelineConfig, timer: _Timer) -> _Spectrum:
     return _Spectrum(dataset.n, g, component_count, lap, es, multiplicity)
 
 
-def _embedding(cfg: PipelineConfig, spec: _Spectrum) -> Embedding:
+def _embedding(cfg: argparse.Namespace, spec: _Spectrum) -> Embedding:
     es = spec.eigensystem
     if cfg.embedding == "classical":
         return embed_classical(es, cfg.k)
@@ -225,9 +203,9 @@ class _Timer:
             print(f"[time] {stage}: {seconds:.4f} s")
 
 
-def run_cluster(cfg: PipelineConfig) -> int:
+def run_cluster(cfg: argparse.Namespace) -> int:
     """Load, build, embed, cluster; write artifacts only after all stages pass."""
-    cfg.validate()
+    _validate(cfg)
     timer = _Timer()
     spec = _spectrum(cfg, timer)
     g, lap, es, multiplicity = spec.graph, spec.laplacian, spec.eigensystem, spec.multiplicity
@@ -287,7 +265,7 @@ def run_cluster(cfg: PipelineConfig) -> int:
     return 0
 
 
-def run_pca_equiv(cfg: PipelineConfig) -> int:
+def run_pca_equiv(cfg: argparse.Namespace) -> int:
     """Both reduction routes on one dataset; nonzero exit iff they disagree."""
     timer = _Timer()
     dataset = load_csv(cfg.input_path, has_header=cfg.has_header, delimiter=cfg.delimiter)
@@ -320,9 +298,9 @@ def run_pca_equiv(cfg: PipelineConfig) -> int:
     return 0
 
 
-def run_eigen_report(cfg: PipelineConfig) -> int:
+def run_eigen_report(cfg: argparse.Namespace) -> int:
     """Full spectrum plus a side-by-side multiplicity / component-count check."""
-    cfg.validate()
+    _validate(cfg)
     timer = _Timer()
     spec = _spectrum(cfg, timer)
     count = spec.component_count
@@ -348,18 +326,13 @@ def run_eigen_report(cfg: PipelineConfig) -> int:
     return 0
 
 
-# config-file value types, read off the dataclass annotations (X | None -> X)
-_CONFIG_TYPES = {
-    name: next((arg for arg in get_args(hint) if arg is not type(None)), hint)
-    for name, hint in get_type_hints(PipelineConfig).items()
-}
-
-# flag spellings accepted in config files, mapped to field names
-_CONFIG_ALIASES = {"input": "input_path", "header": "has_header", "out": "output_dir"}
+# field spellings a config file may use for three flags
+_CONFIG_ALIASES = {"input-path": "input", "has-header": "header", "output-dir": "out"}
 
 
-def _parse_config_file(path) -> dict:
-    values = {}
+def _config_flags(path, sub: argparse.ArgumentParser) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` flags of `sub`."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -368,55 +341,41 @@ def _parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            key = _CONFIG_ALIASES.get(key, key)
-            if key not in _CONFIG_TYPES:
+            key = key.strip().replace("_", "-")
+            flag = "--" + _CONFIG_ALIASES.get(key, key)
+            action = sub._option_string_actions.get(flag)
+            if action is None or flag in ("--config", "--help"):
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             value = value.strip()
-            kind = _CONFIG_TYPES[key]
-            if kind is bool:
+            if action.nargs == 0:  # --header takes no value
                 if value.lower() not in ("true", "false", "1", "0"):
                     raise ValueError(f"{path}:{lineno}: boolean key {key!r} got {value!r}")
-                values[key] = value.lower() in ("true", "1")
+                if value.lower() in ("true", "1"):
+                    flags.append(flag)
             else:
-                values[key] = kind(value)
-    return values
+                flags.append(f"{flag}={value}")
+    return flags
 
 
 def _add_common_flags(sub, with_config: bool = True) -> None:
     sub.add_argument("--input", dest="input_path", help="input CSV of points, one row per point")
-    sub.add_argument("--header", dest="has_header", action="store_const", const=True,
-                     default=None, help="first CSV row is column names")
-    sub.add_argument("--delimiter", default=None, help="CSV field delimiter (default ,)")
-    sub.add_argument("--out", dest="output_dir", default=None, help="artifact directory")
+    sub.add_argument("--header", dest="has_header", action="store_true",
+                     help="first CSV row is column names")
+    sub.add_argument("--delimiter", default=",", help="CSV field delimiter (default %(default)s)")
+    sub.add_argument("--out", dest="output_dir", default=".", help="artifact directory")
     if with_config:
-        sub.add_argument("--config", default=None, help="key=value config file; flags override it")
+        sub.add_argument("--config", help="key = value file of long flags; flags override it")
 
 
 def _add_pipeline_flags(sub) -> None:
-    sub.add_argument("--graph", choices=GRAPHS, default=None)
-    sub.add_argument("--kernel", choices=KERNELS, default=None)
-    sub.add_argument("--delta", type=float, default=None, help="rbf kernel width")
-    sub.add_argument("--eps", type=float, default=None, help="epsilon-graph distance threshold")
-    sub.add_argument("--knn", type=int, default=None, help="neighbors per vertex for the knn graph")
-    sub.add_argument("--laplacian", choices=LAPLACIANS, default=None)
-    sub.add_argument("--zero-tol", dest="zero_tol", type=float, default=None,
+    sub.add_argument("--graph", choices=GRAPHS, default="full")
+    sub.add_argument("--kernel", choices=KERNELS, default="rbf")
+    sub.add_argument("--delta", type=float, help="rbf kernel width")
+    sub.add_argument("--eps", type=float, help="epsilon-graph distance threshold")
+    sub.add_argument("--knn", type=int, help="neighbors per vertex for the knn graph")
+    sub.add_argument("--laplacian", choices=LAPLACIANS, default="unnormalized")
+    sub.add_argument("--zero-tol", dest="zero_tol", type=float, default=1e-8,
                      help="relative tolerance for counting zero eigenvalues")
-
-
-def _merge_config(args) -> PipelineConfig:
-    # every PipelineConfig field the subcommand has a flag for
-    flags = {f.name: getattr(args, f.name) for f in fields(PipelineConfig) if hasattr(args, f.name)}
-    # pca-equiv has no --config flag
-    config = getattr(args, "config", None)
-    values = _parse_config_file(config) if config else {}
-    values.update((key, flag) for key, flag in flags.items() if flag is not None)
-    if "input_path" not in values:
-        raise ValueError("missing required --input")
-    if "k" not in values and "k" in flags:
-        raise ValueError("missing required --k")
-    defaults = PipelineConfig(input_path=values["input_path"], k=values.get("k", 1))
-    return replace(defaults, **values)
 
 
 def main(argv=None) -> int:
@@ -429,9 +388,9 @@ def main(argv=None) -> int:
     p_cluster = subparsers.add_parser("cluster", help="two-step spectral clustering")
     _add_common_flags(p_cluster)
     _add_pipeline_flags(p_cluster)
-    p_cluster.add_argument("--embedding", choices=EMBEDDINGS, default=None)
-    p_cluster.add_argument("--k", type=int, default=None, help="cluster count / embedding dimension")
-    p_cluster.add_argument("--seed", type=int, default=None, help="k-means seed")
+    p_cluster.add_argument("--embedding", choices=EMBEDDINGS, default="nonconstant")
+    p_cluster.add_argument("--k", type=int, help="cluster count / embedding dimension")
+    p_cluster.add_argument("--seed", type=int, default=0, help="k-means seed")
 
     p_pca = subparsers.add_parser("pca-equiv", help="verify the spectral/PCA equivalence")
     _add_common_flags(p_pca, with_config=False)
@@ -441,18 +400,26 @@ def main(argv=None) -> int:
     _add_common_flags(p_eigen)
     _add_pipeline_flags(p_eigen)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
+    run = {"cluster": run_cluster, "pca-equiv": run_pca_equiv, "eigen": run_eigen_report}
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's flags go right after the subcommand, so the command line's win
+            at = argv.index(args.command) + 1
+            sub = subparsers.choices[args.command]
+            args = parser.parse_args(argv[:at] + _config_flags(args.config, sub) + argv[at:])
+        if args.input_path is None:
+            raise ValueError("missing required --input")
+        if "k" in args and args.k is None:
+            raise ValueError("missing required --k")
+        return run[args.command](args)
     except SystemExit as exc:
         # argparse exits 2 on a bad command line, but 2 means numerical
         # failure here; --help exits 0 and passes through
         if exc.code == 0:
             raise
         return 1
-    try:
-        cfg = _merge_config(args)
-        run = {"cluster": run_cluster, "pca-equiv": run_pca_equiv, "eigen": run_eigen_report}
-        return run[args.command](cfg)
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

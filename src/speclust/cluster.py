@@ -14,6 +14,9 @@ import numpy as np
 
 from .graph import _squared_distances
 
+# Lloyd update rounds per k-means run, at most
+MAX_ITER = 300
+
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
@@ -98,7 +101,7 @@ def _repair_empty(
     return out
 
 
-def _lloyd(rows: np.ndarray, pair_d2: np.ndarray, k: int, seed: int, max_iter: int) -> ClusterResult:
+def _lloyd(rows: np.ndarray, pair_d2: np.ndarray, k: int, seed: int) -> ClusterResult:
     n = rows.shape[0]
     chosen = _plus_plus_init(pair_d2, k, Lcg64(seed))
     centroids = rows[chosen].copy()
@@ -109,7 +112,7 @@ def _lloyd(rows: np.ndarray, pair_d2: np.ndarray, k: int, seed: int, max_iter: i
     trace = [inertia]
 
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         iterations += 1
         new_centroids = centroids.copy()
         for cid in range(k):
@@ -132,11 +135,11 @@ def _lloyd(rows: np.ndarray, pair_d2: np.ndarray, k: int, seed: int, max_iter: i
     return ClusterResult(labels, centroids, inertia, iterations, tuple(trace))
 
 
-def kmeans(rows, k: int, seed: int, max_iter: int = 300, restarts: int = 1) -> ClusterResult:
+def kmeans(rows, k: int, seed: int, restarts: int = 1) -> ClusterResult:
     """Lloyd's algorithm with k-means++ seeding, deterministic for a fixed seed.
 
     Stops at an assignment fixed point, when the relative inertia drop falls
-    to 1e-9 or below, or after max_iter update rounds.  Assignment ties go to
+    to 1e-9 or below, or after MAX_ITER update rounds.  Assignment ties go to
     the lowest centroid index; the final step is always an assignment, so
     every returned label is a nearest centroid.
 
@@ -153,15 +156,13 @@ def kmeans(rows, k: int, seed: int, max_iter: int = 300, restarts: int = 1) -> C
         raise ValueError(f"need 1 <= k <= n={n}, got k={k}")
     if not np.all(np.isfinite(rows)):
         raise ValueError("rows must be finite")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be positive, got {max_iter}")
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts}")
 
     pair_d2 = _squared_distances(rows)
     best = None
     for restart in range(restarts):
-        result = _lloyd(rows, pair_d2, k, seed + restart, max_iter)
+        result = _lloyd(rows, pair_d2, k, seed + restart)
         if best is None or result.inertia < best.inertia:
             best = result
     return best

@@ -133,18 +133,17 @@ def embed_classical(es: EigenSystem, k: int) -> Embedding:
     return Embedding(es.eigenvectors[:, :k].copy(), "classical")
 
 
-def embed_normalized(
-    es_sym: EigenSystem, degrees, k: int, scaled: bool = False, tolerance: float = 1e-8
-) -> Embedding:
+def embed_normalized(es_sym: EigenSystem, degrees, k: int, scaled: bool = False) -> Embedding:
     """Columns 1..k of a symmetric-normalized eigensystem.
 
-    embed_nonconstant with variant "sym"; with scaled=True each row i is then
-    divided by sqrt(D_ii), mapping it onto the random-walk coordinates.
+    embed_nonconstant with variant "sym", at its default tolerance; with
+    scaled=True each row i is then divided by sqrt(D_ii), mapping it onto the
+    random-walk coordinates.
     """
     deg = np.asarray(degrees, dtype=float)
     if np.any(deg <= 0.0):
         raise ValueError("degrees must all be positive")
-    emb = embed_nonconstant(es_sym, k, tolerance=tolerance, variant="sym")
+    emb = embed_nonconstant(es_sym, k, variant="sym")
     if not scaled:
         return emb
     return Embedding(emb.coordinates / np.sqrt(deg)[:, None], "sym_scaled")

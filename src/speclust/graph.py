@@ -10,7 +10,7 @@ nonnegative weights and recomputed degree vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,10 +19,10 @@ from .data import Dataset
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Symmetric nonnegative affinity matrix plus its degree vector."""
+    """Symmetric nonnegative affinity matrix plus its degree vector, the row sums."""
 
     weights: np.ndarray
-    degrees: np.ndarray
+    degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -36,7 +36,7 @@ class WeightedGraph:
         if w.min(initial=0.0) < 0.0:
             raise ValueError("weights must be nonnegative")
         w.setflags(write=False)
-        deg = np.asarray(self.degrees, dtype=float)
+        deg = w.sum(axis=1)
         deg.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "degrees", deg)
@@ -133,10 +133,6 @@ def _rbf_weights(sq: np.ndarray, delta: float) -> np.ndarray:
     return np.where(keep, np.ldexp(y, k.astype(int)), np.where(np.isnan(x), x, 0.0))
 
 
-def _from_weights(w: np.ndarray) -> WeightedGraph:
-    return WeightedGraph(w, w.sum(axis=1))
-
-
 def build_full_graph(d: Dataset, kernel: str = "rbf", delta: float | None = None) -> WeightedGraph:
     """Connect every vertex pair and weight the edges.
 
@@ -150,7 +146,7 @@ def build_full_graph(d: Dataset, kernel: str = "rbf", delta: float | None = None
             raise ValueError(f"rbf kernel needs positive delta, got {delta}")
         w = _rbf_weights(_squared_distances(d.points), delta)
         np.fill_diagonal(w, 0.0)
-        return _from_weights(w)
+        return WeightedGraph(w)
     if kernel == "shifted_dot":
         w = 2.0 + _gram(d.points)
         if w.min() <= 0.0:
@@ -159,7 +155,7 @@ def build_full_graph(d: Dataset, kernel: str = "rbf", delta: float | None = None
                 f"shifted_dot weight w[{i},{j}] = {w[i, j]} is not positive; "
                 "standardize the dataset first (center_columns + scale_global)"
             )
-        return _from_weights(w)
+        return WeightedGraph(w)
     raise ValueError(f"unknown kernel {kernel!r} for full graph (rbf | shifted_dot)")
 
 
@@ -185,7 +181,7 @@ def build_knn_graph(d: Dataset, k_neighbors: int, delta: float) -> WeightedGraph
     adjacency |= adjacency.T
     w = np.where(adjacency, _rbf_weights(sq, delta), 0.0)
     np.fill_diagonal(w, 0.0)
-    return _from_weights(w)
+    return WeightedGraph(w)
 
 
 def build_epsilon_graph(
@@ -205,7 +201,7 @@ def build_epsilon_graph(
         w = np.where(adjacency, _rbf_weights(sq, delta), 0.0)
     else:
         raise ValueError(f"unknown kernel {kernel!r} for epsilon graph (rbf | unit)")
-    return _from_weights(w)
+    return WeightedGraph(w)
 
 
 def _component_labels(linked: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from speclust.data import Dataset
 
 def _graph(w):
     w = np.asarray(w, dtype=float)
-    return WeightedGraph(weights=w, degrees=w.sum(axis=1))
+    return WeightedGraph(weights=w)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

@@ -493,6 +493,83 @@ def test_config_bad_boolean_rejected(tmp_path):
     assert cli.main(["cluster", "--config", str(config)]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, line, messages",
+    [
+        ("cluster", "k = two", ["argument --k: invalid int value: 'two'"]),
+        ("eigen", "k = 2", ["unknown config key", ":2:"]),
+        ("eigen", "embedding = classical", ["unknown config key", ":2:"]),
+        ("cluster", "graph = bogus", ["argument --graph: invalid choice"]),
+    ],
+    ids=["bad-int", "eigen-k", "eigen-embedding", "bad-choice"],
+)
+def test_config_values_checked_like_flags(tmp_path, capsys, command, line, messages):
+    # a config file line is parsed as the flag it names, by its subcommand's parser
+    csv, _ = _two_blob_csv(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"input = {csv}\n{line}\ndelta = 0.5\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    assert cli.main(argv + ["--k", "2"] if command == "cluster" else argv) == 1
+    err = capsys.readouterr().err
+    for message in messages:
+        assert message in err
+    assert not out.exists()
+
+
+def _header_csv(tmp_path):
+    csv, _ = _two_blob_csv(tmp_path)
+    named = tmp_path / "named.csv"
+    named.write_text("x,y\n" + csv.read_text())
+    return named
+
+
+@pytest.mark.parametrize("zero_tol", ["zero_tol", "zero-tol"])
+def test_config_accepts_field_spellings(tmp_path, zero_tol):
+    csv = _header_csv(tmp_path)
+    out = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"input_path = {csv}\nhas_header = true\noutput_dir = {out}\n"
+        f"delta = 0.5\n{zero_tol} = 1e-7\n"
+    )
+    assert cli.main(["eigen", "--config", str(config)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["n"] == 40
+    assert report["zero_tol"] == 1e-7
+
+
+def test_config_header_false_loses_to_flag(tmp_path):
+    csv = _header_csv(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"input = {csv}\nheader = false\ndelta = 0.5\n")
+    out = tmp_path / "out"
+    assert cli.main(["eigen", "--config", str(config), "--header", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["n"] == 40
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["cluster", "--graph", "knn", "--knn", "5", "--delta", "1.0", "--laplacian", "sym",
+         "--embedding", "classical", "--k", "2", "--seed", "3", "--zero-tol", "1e-7"],
+        ["eigen", "--graph", "epsilon", "--kernel", "unit", "--eps", "0.5",
+         "--laplacian", "rw", "--delimiter", ","],
+    ],
+    ids=["cluster", "eigen"],
+)
+def test_config_file_and_flags_write_the_same_bytes(tmp_path, flags):
+    csv = _header_csv(tmp_path)
+    command, pairs = flags[0], flags[1:]
+    by_flags, by_file = tmp_path / "flags", tmp_path / "file"
+    assert cli.main([*flags, "--input", str(csv), "--header", "--out", str(by_flags)]) == 0
+    config = tmp_path / "run.cfg"
+    lines = [f"{flag[2:]} = {value}" for flag, value in zip(pairs[::2], pairs[1::2])]
+    config.write_text("\n".join([f"input = {csv}", "header = 1", f"out = {by_file}", *lines]) + "\n")
+    assert cli.main([command, "--config", str(config)]) == 0
+    assert _artifacts(by_flags) == _artifacts(by_file)
+
+
 def test_cluster_missing_input_flag(tmp_path):
     assert cli.main(["cluster", "--k", "2", "--delta", "1.0"]) == 1
 

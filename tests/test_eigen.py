@@ -16,7 +16,7 @@ from speclust import (
 
 def _graph(w):
     w = np.asarray(w, dtype=float)
-    return WeightedGraph(weights=w, degrees=w.sum(axis=1))
+    return WeightedGraph(weights=w)
 
 
 def _complete_laplacian(n):

@@ -23,7 +23,7 @@ from speclust.graph import _squared_distances
 
 def _graph(w):
     w = np.asarray(w, dtype=float)
-    return WeightedGraph(weights=w, degrees=w.sum(axis=1))
+    return WeightedGraph(weights=w)
 
 
 P3 = _graph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])

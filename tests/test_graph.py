@@ -208,7 +208,7 @@ def test_components_block_structure():
     w[0, 1] = w[1, 0] = 1.0
     w[2, 3] = w[3, 2] = 1.0
     w[3, 4] = w[4, 3] = 1.0
-    g = WeightedGraph(weights=w, degrees=w.sum(axis=1))
+    g = WeightedGraph(weights=w)
     lab = connected_components(g)
     np.testing.assert_array_equal(lab.labels, [0, 0, 1, 1, 1])
     assert lab.component_count == 2
@@ -237,7 +237,7 @@ def test_components_agree_with_bfs_oracle():
     np.fill_diagonal(loops, rng.uniform(0.5, 2.0, size=12))
     cases.append(loops)
     for w in cases:
-        ours = connected_components(WeightedGraph(weights=w, degrees=w.sum(axis=1)))
+        ours = connected_components(WeightedGraph(weights=w))
         labels, count = bfs_components(w)
         assert ours.component_count == count
         np.testing.assert_array_equal(ours.labels, labels)
@@ -270,10 +270,10 @@ def test_weights_exactly_symmetric_for_every_builder():
 def test_graph_type_rejects_asymmetric_and_negative():
     w = np.array([[0.0, 1.0], [1.0000001, 0.0]])
     with pytest.raises(ValueError):
-        WeightedGraph(weights=w, degrees=w.sum(axis=1))
+        WeightedGraph(weights=w)
     w2 = np.array([[0.0, -1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError):
-        WeightedGraph(weights=w2, degrees=w2.sum(axis=1))
+        WeightedGraph(weights=w2)
 
 
 @pytest.mark.parametrize("m", [1, 7, 64])

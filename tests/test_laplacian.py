@@ -20,7 +20,7 @@ from speclust import (
 
 def _graph(w):
     w = np.asarray(w, dtype=float)
-    return WeightedGraph(weights=w, degrees=w.sum(axis=1))
+    return WeightedGraph(weights=w)
 
 
 def test_unnormalized_two_vertex():
